@@ -5,8 +5,8 @@ truncates the batched BFS), measures: correctness of the landmark
 completion at the paper's Θ(n^eps log n) density, the message split
 between the near (batched BFS) and far (landmark) parts, and an
 ablation with under-sampled landmarks quantifying how many pairs a too
-sparse landmark set leaves wrong -- the design choice DESIGN.md calls
-out.
+sparse landmark set leaves wrong -- why the density is Θ(n^eps log n)
+(see :mod:`repro.core.tradeoff_apsp`).
 """
 
 from conftest import run_once

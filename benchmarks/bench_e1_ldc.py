@@ -3,8 +3,9 @@
 Regenerates the quantities of Definition 2.3 (and the three quantities
 depicted in the paper's Figure 1: cluster count, max strong diameter,
 max F-out-degree) over an n sweep of registry scenarios spanning the
-sparse, expander, hub-skewed, and grid regimes, plus the beta ablation
-called out in DESIGN.md.  Claim shape: both the realized r and d stay
+sparse, expander, hub-skewed, and grid regimes, plus an ablation of the
+MPX rate beta (larger beta: more, smaller clusters; see
+:mod:`repro.decomposition.mpx`).  Claim shape: both the realized r and d stay
 O(log n) while n quadruples.  Workloads come from the scenario registry
 (no hand-rolled graphs), so the regimes probed here are the same named
 entries the differential harness and the sweep engine run.

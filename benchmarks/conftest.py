@@ -2,9 +2,9 @@
 
 Each benchmark runs its experiment once under ``benchmark.pedantic``
 (the interesting outputs are message/round counts, which are
-deterministic given the seed -- wall time is incidental), prints the
-table recorded in EXPERIMENTS.md, and attaches the headline numbers to
-the pytest-benchmark report via ``extra_info``.
+deterministic given the seed -- wall time is incidental), prints its
+paper-vs-measured table, and attaches the headline numbers to the
+pytest-benchmark report via ``extra_info``.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ Public API highlights
 
 Everything runs on a literal simulator of the synchronous CONGEST model
 (``repro.congest``); all message/round/congestion counts are measured by
-actually transmitting the messages.  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-vs-measured results.
+actually transmitting the messages.  PAPER.md has the paper's abstract,
+ROADMAP.md the subsystem inventory, and the E1-E14 experiments under
+``benchmarks/`` regenerate the paper's claims as measured tables.
 """
 
 from repro.congest import Machine, Metrics, run_algorithm, run_machines

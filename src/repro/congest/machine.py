@@ -24,9 +24,11 @@ paper's simulations (Lemma 2.5 / Lemma 3.14) and is checked in tests.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.congest.errors import AlgorithmError
 from repro.congest.network import (
     Algorithm,
     Execution,
@@ -42,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Broadcast = Optional[Any]
 MachineFactory = Callable[[NodeInfo], "Machine"]
+Inboxes = Dict[int, List[Tuple[int, Any]]]
 
 
 class Machine:
@@ -55,8 +58,26 @@ class Machine:
 
     ``halted`` means the machine will never broadcast again and its
     ``output`` is final.  ``passive()`` means the machine does not need
-    to be woken until a message arrives (it is still willing to react).
-    A machine must be driven in lockstep unless it is passive.
+    to be woken until a message arrives (it is still willing to react);
+    ``wake_round()`` names the next round it acts without one.
+
+    Drivers step machines event-driven (:func:`step_phases`,
+    :class:`MachineAdapter`): a machine is stepped only in round 1, in
+    rounds where its inbox is non-empty, in every round while it is not
+    ``passive()``, and in the round named by ``wake_round()``.  Every
+    machine must therefore keep this contract:
+
+    * an idle :meth:`on_round` -- empty inbox, before its
+      ``wake_round()`` -- changes neither its state nor its output, so
+      skipping it is unobservable;
+    * ``passive()`` and ``wake_round()`` together name every round in
+      which the machine acts on its own.  Both are read right after a
+      step, so a machine whose schedule depends on the round remembers
+      the last round it was stepped.
+
+    ``tests/test_event_stepping.py`` checks the contract for every
+    stepped driver against a lockstep execution that steps each live
+    machine in every round.
     """
 
     def __init__(self, info: NodeInfo):
@@ -152,6 +173,82 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
         if execution.outputs[v] is None:
             execution.outputs[v] = machine.output()
     return execution
+
+
+def step_phases(machines: Dict[int, Machine],
+                deliver: Callable[[Dict[int, Any]], Inboxes], *,
+                max_phases: int,
+                overrun: str = "simulation exceeded max_phases",
+                ) -> Tuple[int, int]:
+    """Step a machine collection phase by phase, event-driven.
+
+    The shared loop of the phase simulators (Theorem 2.1 and Theorems
+    3.9/3.10): phase p is round p of the simulated algorithm.  Every
+    machine is stepped in phase 1; afterwards a phase steps only the
+    machines that have an inbox, are not ``passive()``, or whose
+    ``wake_round()`` has come due -- the activation set and wake heap of
+    :meth:`repro.congest.network.Network.run`.  When nothing is in
+    flight and no machine is busy, the loop jumps straight to the next
+    due wake-up, and it ends when there is none.  Under the
+    :class:`Machine` contract this computes exactly what stepping every
+    live machine in every phase computes.
+
+    Due machines step in ascending node order, so ``deliver(broadcasters)``
+    sees each phase's broadcasts in that order; it routes them and
+    returns the next phase's inboxes.  Returns ``(phases,
+    broadcasts)``: the last phase executed and the number of broadcasts.
+    Raises :class:`AlgorithmError` with ``overrun`` past ``max_phases``.
+    """
+    wake_heap: List[Tuple[int, int]] = []  # (phase, node)
+    wake_pending: Dict[int, int] = {}
+    inboxes: Inboxes = {}
+    due: Set[int] = set(machines)
+    broadcasts = 0
+    phase = 1
+    while True:
+        if phase > max_phases:
+            raise AlgorithmError(overrun)
+        while wake_heap and wake_heap[0][0] <= phase:
+            rnd, v = heapq.heappop(wake_heap)
+            if wake_pending.get(v) == rnd:
+                del wake_pending[v]
+                due.add(v)
+        current, inboxes = inboxes, {}
+        busy: Set[int] = set()
+        broadcasters: Dict[int, Any] = {}
+        for v in sorted(due):
+            machine = machines[v]
+            if machine.halted:
+                continue
+            payload = machine.on_round(phase, current.get(v, []))
+            if payload is not None:
+                broadcasters[v] = payload
+            wake = None
+            if not machine.halted:
+                if not machine.passive():
+                    busy.add(v)
+                else:
+                    wake = machine.wake_round()
+            if wake is not None and wake > phase:
+                if wake_pending.get(v) != wake:
+                    wake_pending[v] = wake
+                    heapq.heappush(wake_heap, (wake, v))
+            else:
+                wake_pending.pop(v, None)
+        if broadcasters:
+            broadcasts += len(broadcasters)
+            inboxes = deliver(broadcasters)
+        if inboxes or busy:
+            phase += 1
+        else:
+            while wake_heap and (
+                    wake_pending.get(wake_heap[0][1]) != wake_heap[0][0]):
+                heapq.heappop(wake_heap)
+            if not wake_heap:
+                return phase, broadcasts
+            phase = wake_heap[0][0]
+        due = set(inboxes)
+        due |= busy
 
 
 class LocalRunner:

@@ -31,17 +31,22 @@ Structure (§2.2):
 * **Output delivery** -- after the machines halt, centers downcast each
   member's output, chunked into O(1)-word packets (the O(Out) term).
 
-Phases in which A is globally silent cost nothing and are skipped; this
-only ever lowers the round count relative to the paper's fixed budgets.
+Phases are stepped event-driven (:func:`repro.congest.machine.step_phases`):
+in each phase the centers step only the machines that received a
+message, are not passive, or reached a scheduled wake-up -- local
+computation is free, so a machine that neither hears nor acts costs
+nothing to skip.  Phases in which A is globally silent are jumped over
+outright; this only ever lowers the round count relative to the paper's
+fixed budgets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine
+from repro.congest.machine import Inboxes, Machine, step_phases
 from repro.congest.metrics import Metrics
 from repro.congest.network import make_node_info, payload_words
 from repro.congest.profile import mark_phase
@@ -191,92 +196,62 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
 
     # ---------------- Simulation phases ----------------
     mark_phase("simulation")
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    broadcasts_simulated = 0
-    phase = 0
-    executed_phases = 0
     transport_limit = message_words + 3  # payload + origin + dest + slack
+
+    def check_size(payload: Any) -> None:
+        if payload_words(payload) > message_words:
+            raise AlgorithmError(
+                f"simulated algorithm broadcast "
+                f"{payload_words(payload)} words > {message_words}")
+
+    def route(broadcasts: Iterable[Tuple[int, Any]]) -> List[Any]:
+        """One packet per (broadcaster, neighboring cluster): downcast +
+        F edge + upcast; returns the metered deliveries."""
+        packets: List[Packet] = []
+        for v, payload in broadcasts:
+            for (_v, u_ext) in ldc.out_edges[v]:
+                path = down_paths[v] + (u_ext,) + up_paths[u_ext][1:]
+                packets.append(Packet(path=path, payload=(v, payload)))
+        if not packets:
+            return []
+        deliveries, metrics = route_packets(graph, packets,
+                                            word_limit=transport_limit)
+        total.merge(metrics)
+        return deliveries
+
     if plan is not None:
         # Kernel replay: the broadcast schedule is precomputed; route the
         # identical per-phase transport packets through the identical
         # metered calls (sizes, order, and oversize checks match the
         # stepped loop, so metrics come out byte-identical).
-        for phase, scheduled in plan.phase_payloads:
-            packets: List[Packet] = []
-            for v, payload in scheduled:
-                if payload_words(payload) > message_words:
-                    raise AlgorithmError(
-                        f"simulated algorithm broadcast "
-                        f"{payload_words(payload)} words > {message_words}")
-                broadcasts_simulated += 1
-                for (_v, u_ext) in ldc.out_edges[v]:
-                    path = (down_paths[v] + (u_ext,)
-                            + up_paths[u_ext][1:])
-                    packets.append(Packet(path=path, payload=(v, payload)))
-            if packets:
-                _deliveries, metrics = route_packets(
-                    graph, packets, word_limit=transport_limit)
-                total.merge(metrics)
+        broadcasts_simulated = 0
+        for _phase, scheduled in plan.phase_payloads:
+            for _v, payload in scheduled:
+                check_size(payload)
+            broadcasts_simulated += len(scheduled)
+            route(scheduled)
         executed_phases = plan.executed_phases
     else:
-        while True:
-            phase += 1
-            if phase > max_phases:
-                raise AlgorithmError("simulation exceeded max_phases")
-            executed_phases = phase
-            current, inboxes = inboxes, {}
-            broadcasters: Dict[int, Any] = {}
-            for v in graph.nodes():
-                machine = machines[v]
-                if machine.halted:
-                    continue
-                payload = machine.on_round(phase, current.get(v, []))
-                if payload is not None:
-                    if payload_words(payload) > message_words:
-                        raise AlgorithmError(
-                            f"simulated algorithm broadcast "
-                            f"{payload_words(payload)} words > "
-                            f"{message_words}")
-                    broadcasters[v] = payload
-                    broadcasts_simulated += 1
+        def deliver(broadcasters: Dict[int, Any]) -> Inboxes:
+            for payload in broadcasters.values():
+                check_size(payload)
+            inboxes: Inboxes = {}
+            # Intra-cluster delivery: free, the center knows all.
+            for v, payload in broadcasters.items():
+                for u in graph.neighbors(v):
+                    if center_of[u] == center_of[v]:
+                        inboxes.setdefault(u, []).append((v, payload))
+            # Inter-cluster delivery: the receiving center hands the
+            # message to every member adjacent to the broadcaster.
+            for delivery in route(broadcasters.items()):
+                src, payload = delivery.payload
+                for u in members[delivery.dest]:
+                    if src in graph.neighbors(u):
+                        inboxes.setdefault(u, []).append((src, payload))
+            return inboxes
 
-            if broadcasters:
-                # Intra-cluster delivery: free, the center knows all.
-                for v, payload in broadcasters.items():
-                    for u in graph.neighbors(v):
-                        if center_of[u] == center_of[v]:
-                            inboxes.setdefault(u, []).append((v, payload))
-                # Inter-cluster delivery: downcast + F edge + upcast, one
-                # packet per (broadcaster, neighboring cluster).
-                packets = []
-                for v, payload in broadcasters.items():
-                    for (_v, u_ext) in ldc.out_edges[v]:
-                        path = (down_paths[v] + (u_ext,)
-                                + up_paths[u_ext][1:])
-                        packets.append(
-                            Packet(path=path, payload=(v, payload)))
-                if packets:
-                    deliveries, metrics = route_packets(
-                        graph, packets, word_limit=transport_limit)
-                    total.merge(metrics)
-                    for delivery in deliveries:
-                        src, payload = delivery.payload
-                        receiving_center = delivery.dest
-                        for u in members[receiving_center]:
-                            if src in graph.neighbors(u):
-                                inboxes.setdefault(u, []).append(
-                                    (src, payload))
-
-            if not inboxes:
-                live = [m for m in machines.values() if not m.halted]
-                if not live:
-                    break
-                wakes = [m.wake_round() for m in live]
-                future = [w for w in wakes if w is not None and w > phase]
-                if all(m.passive() for m in live):
-                    if not future:
-                        break
-                    phase = min(future) - 1
+        executed_phases, broadcasts_simulated = step_phases(
+            machines, deliver, max_phases=max_phases)
     simulation = total.delta_since(preprocessing)
 
     # ---------------- Output delivery ----------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine
+from repro.congest.machine import Inboxes, Machine, step_phases
 from repro.congest.metrics import Metrics
 from repro.congest.network import make_node_info, payload_words
 from repro.core.aggregation import AggregateFn, get_aggregator
@@ -193,141 +193,121 @@ def simulate_aggregation(graph: Graph, hierarchy: BaswanaSenHierarchy,
             down_paths[(level.index, level.cluster_of[v], v)] = \
                 path_from_root(level.parent, v)
 
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    broadcasts_simulated = 0
-    phase = 0
     transport_limit = message_words + 4
-    while True:
-        phase += 1
-        if phase > max_phases:
-            raise AlgorithmError("trade-off simulation exceeded max_phases")
-        current, inboxes = inboxes, {}
 
-        # ---- Compute step of the previous phase feeds round `phase`.
-        broadcasters: Dict[int, Any] = {}
-        for v in graph.nodes():
-            machine = machines[v]
-            if machine.halted:
+    # The compute step of each phase is the stepper's; delivery runs the
+    # send and receive steps and returns the next phase's inboxes.
+    def deliver(broadcasters: Dict[int, Any]) -> Inboxes:
+        for payload in broadcasters.values():
+            if payload_words(payload) > message_words:
+                raise AlgorithmError(
+                    "simulated broadcast exceeds message_words")
+        inboxes: Inboxes = {}
+
+        # ---- (i) Indirect send over incident F* edges.
+        spec: Dict[int, dict] = {}
+        for v, payload in broadcasters.items():
+            sends = [(u, ("i", v, payload)) for u in sorted(incident_f[v])]
+            if sends:
+                spec[v] = {"sends": sends}
+        indirect_received: Dict[int, Dict[int, Any]] = {
+            v: {} for v in graph.nodes()}
+        if spec:
+            heard, m = _one_shot(graph, spec, bcast_only=False,
+                                 word_limit=transport_limit)
+            total.merge(m)
+            for v in graph.nodes():
+                for _src, (_t, origin, payload) in heard[v]:
+                    indirect_received[v][origin] = payload
+
+        # ---- (ii)+(receive) upcasts over all cluster trees.
+        packets: List[Packet] = []
+        for v, payload in broadcasters.items():
+            for key in clusters_of_node[v]:
+                path = up_paths[(key[0], key[1], v)]
+                if len(path) > 1:
+                    packets.append(Packet(
+                        path=path, payload=("b", v, payload), tag=key))
+        for v, received in indirect_received.items():
+            if not received:
                 continue
-            payload = machine.on_round(phase, current.get(v, []))
-            if payload is not None:
-                if payload_words(payload) > message_words:
-                    raise AlgorithmError(
-                        "simulated broadcast exceeds message_words")
-                broadcasters[v] = payload
-                broadcasts_simulated += 1
-
-        if broadcasters:
-            # ---- (i) Indirect send over incident F* edges.
-            spec: Dict[int, dict] = {}
-            for v, payload in broadcasters.items():
-                sends = [(u, ("i", v, payload)) for u in sorted(incident_f[v])]
-                if sends:
-                    spec[v] = {"sends": sends}
-            indirect_received: Dict[int, Dict[int, Any]] = {
-                v: {} for v in graph.nodes()}
-            if spec:
-                heard, m = _one_shot(graph, spec, bcast_only=False,
-                                     word_limit=transport_limit)
-                total.merge(m)
-                for v in graph.nodes():
-                    for _src, (_t, origin, payload) in heard[v]:
-                        indirect_received[v][origin] = payload
-
-            # ---- (ii)+(receive) upcasts over all cluster trees.
-            packets: List[Packet] = []
-            for v, payload in broadcasters.items():
-                for key in clusters_of_node[v]:
-                    path = up_paths[(key[0], key[1], v)]
+            for key in clusters_of_node[v]:
+                path = up_paths[(key[0], key[1], v)]
+                for origin, payload in sorted(received.items()):
                     if len(path) > 1:
                         packets.append(Packet(
-                            path=path, payload=("b", v, payload), tag=key))
-            for v, received in indirect_received.items():
-                if not received:
+                            path=path, payload=("r", origin, payload),
+                            tag=key))
+        center_known: Dict[Tuple[int, int], Dict[int, Any]] = {}
+        if packets:
+            deliveries, m = route_packets(graph, packets,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                _t, origin, payload = d.payload
+                center_known.setdefault(d.tag, {})[origin] = payload
+        # Items held by the center itself never leave the node.
+        for key, view in views.items():
+            known = center_known.setdefault(key, {})
+            c = view.center
+            if c in broadcasters:
+                known[c] = broadcasters[c]
+            for origin, payload in indirect_received[c].items():
+                known[origin] = payload
+
+        # ---- Center-local aggregation; downcast (+ F hop) packets.
+        down: List[Packet] = []
+        for key, view in views.items():
+            known = center_known.get(key, {})
+            if not known:
+                continue
+            level, center = key
+            # Receive step: one aggregate packet per member.
+            for u in view.members:
+                relevant = [(src, known[src]) for src in known
+                            if src in neighbors[u]]
+                if not relevant:
                     continue
-                for key in clusters_of_node[v]:
-                    path = up_paths[(key[0], key[1], v)]
-                    for origin, payload in sorted(received.items()):
-                        if len(path) > 1:
-                            packets.append(Packet(
-                                path=path, payload=("r", origin, payload),
-                                tag=key))
-            center_known: Dict[Tuple[int, int], Dict[int, Any]] = {}
-            if packets:
-                deliveries, m = route_packets(graph, packets,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    _t, origin, payload = d.payload
-                    center_known.setdefault(d.tag, {})[origin] = payload
-            # Items held by the center itself never leave the node.
-            for key, view in views.items():
-                known = center_known.setdefault(key, {})
-                c = view.center
-                if c in broadcasters:
-                    known[c] = broadcasters[c]
-                for origin, payload in indirect_received[c].items():
-                    known[origin] = payload
-
-            # ---- Center-local aggregation; downcast (+ F hop) packets.
-            down: List[Packet] = []
-            for key, view in views.items():
-                known = center_known.get(key, {})
-                if not known:
+                agg = aggregate(sorted(relevant, key=lambda t: t[0]))
+                if u == center:
+                    inboxes.setdefault(u, []).extend(agg)
                     continue
-                level, center = key
-                # Receive step: one aggregate packet per member.
-                for u in view.members:
-                    relevant = [(src, known[src]) for src in known
-                                if src in neighbors[u]]
-                    if not relevant:
-                        continue
-                    agg = aggregate(sorted(relevant, key=lambda t: t[0]))
-                    if u == center:
-                        inboxes.setdefault(u, []).extend(agg)
-                        continue
-                    path = down_paths[(level, center, u)]
-                    down.append(Packet(path=path,
-                                       payload=("agg", tuple(agg))))
-                # Direct send: one aggregate packet per outside node in
-                # R(C), restricted to in-cluster broadcasters.
-                for u, w in sorted(view.incoming_f.items()):
-                    relevant = [(src, known[src]) for src in known
-                                if src in neighbors[u]
-                                and src in view.member_set
-                                and src in broadcasters]
-                    if not relevant:
-                        continue
-                    agg = aggregate(sorted(relevant, key=lambda t: t[0]))
-                    path = down_paths[(level, center, w)] + (u,)
-                    down.append(Packet(path=path,
-                                       payload=("agg", tuple(agg))))
-            if down:
-                deliveries, m = route_packets(graph, down,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    inboxes.setdefault(d.dest, []).extend(d.payload[1])
+                path = down_paths[(level, center, u)]
+                down.append(Packet(path=path,
+                                   payload=("agg", tuple(agg))))
+            # Direct send: one aggregate packet per outside node in
+            # R(C), restricted to in-cluster broadcasters.
+            for u, w in sorted(view.incoming_f.items()):
+                relevant = [(src, known[src]) for src in known
+                            if src in neighbors[u]
+                            and src in view.member_set
+                            and src in broadcasters]
+                if not relevant:
+                    continue
+                agg = aggregate(sorted(relevant, key=lambda t: t[0]))
+                path = down_paths[(level, center, w)] + (u,)
+                down.append(Packet(path=path,
+                                   payload=("agg", tuple(agg))))
+        if down:
+            deliveries, m = route_packets(graph, down,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                inboxes.setdefault(d.dest, []).extend(d.payload[1])
 
-            # ---- Level-0 singleton clusters: local aggregation of the
-            # node's own indirect receipts.
-            for v, received in indirect_received.items():
-                relevant = [(src, payload) for src, payload
-                            in sorted(received.items())
-                            if src in neighbors[v]]
-                if relevant:
-                    inboxes.setdefault(v, []).extend(aggregate(relevant))
+        # ---- Level-0 singleton clusters: local aggregation of the
+        # node's own indirect receipts.
+        for v, received in indirect_received.items():
+            relevant = [(src, payload) for src, payload
+                        in sorted(received.items())
+                        if src in neighbors[v]]
+            if relevant:
+                inboxes.setdefault(v, []).extend(aggregate(relevant))
+        return inboxes
 
-        if not inboxes:
-            live = [m for m in machines.values() if not m.halted]
-            if not live:
-                break
-            wakes = [m.wake_round() for m in live]
-            future = [w for w in wakes if w is not None and w > phase]
-            if all(m.passive() for m in live):
-                if not future:
-                    break
-                phase = min(future) - 1
+    phase, broadcasts_simulated = step_phases(
+        machines, deliver, max_phases=max_phases,
+        overrun="trade-off simulation exceeded max_phases")
 
     simulation = total.delta_since(preprocessing)
     cluster_edges = hierarchy.cluster_edges()

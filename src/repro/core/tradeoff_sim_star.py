@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.machine import Machine
+from repro.congest.machine import Inboxes, Machine, step_phases
 from repro.congest.metrics import Metrics
 from repro.congest.network import make_node_info, payload_words
 from repro.core.aggregation import AggregateFn, get_aggregator
@@ -106,160 +106,141 @@ def simulate_aggregation_star(graph: Graph, hierarchy: BaswanaSenHierarchy,
         aggregate = get_aggregator(next(iter(machines.values())))
     neighbors = {v: set(graph.neighbors(v)) for v in graph.nodes()}
 
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    broadcasts_simulated = 0
-    phase = 0
     transport_limit = message_words + 4
-    while True:
-        phase += 1
-        if phase > max_phases:
-            raise AlgorithmError("star simulation exceeded max_phases")
-        current, inboxes = inboxes, {}
-        broadcasters: Dict[int, Any] = {}
-        for v in graph.nodes():
-            machine = machines[v]
-            if machine.halted:
-                continue
-            payload = machine.on_round(phase, current.get(v, []))
-            if payload is not None:
-                if payload_words(payload) > message_words:
-                    raise AlgorithmError(
-                        "simulated broadcast exceeds message_words")
-                broadcasters[v] = payload
-                broadcasts_simulated += 1
 
-        if broadcasters:
-            indirect_received: Dict[int, Dict[int, Any]] = {
-                v: {} for v in graph.nodes()}
-            direct_received: Dict[int, List[Tuple[int, Any]]] = {
-                v: [] for v in graph.nodes()}
+    # The compute step of each phase is the stepper's; delivery runs the
+    # send and receive steps and returns the next phase's inboxes.
+    def deliver(broadcasters: Dict[int, Any]) -> Inboxes:
+        for payload in broadcasters.values():
+            if payload_words(payload) > message_words:
+                raise AlgorithmError(
+                    "simulated broadcast exceeds message_words")
+        inboxes: Inboxes = {}
+        indirect_received: Dict[int, Dict[int, Any]] = {
+            v: {} for v in graph.nodes()}
+        direct_received: Dict[int, List[Tuple[int, Any]]] = {
+            v: [] for v in graph.nodes()}
 
-            # ---- Send step (i): broadcasts over F_1-incident edges.
-            spec: Dict[int, dict] = {}
-            for v, payload in broadcasters.items():
-                sends = [(u, ("i", v, payload))
-                         for u in sorted(f1_incident[v])]
-                if sends:
-                    spec[v] = {"sends": sends}
-            # ---- Send step (ii): star members to their centers.
-            for v, payload in broadcasters.items():
-                c = star_of.get(v)
-                if c is not None and c != v:
-                    spec.setdefault(v, {"sends": []}).setdefault(
-                        "sends", []).append((c, ("u", v, payload)))
-            if spec:
-                heard, m = _one_shot(graph, spec, bcast_only=False,
-                                     word_limit=transport_limit)
-                total.merge(m)
-                for v in graph.nodes():
-                    for _src, msg in heard[v]:
-                        if msg[0] == "i":
-                            indirect_received[v][msg[1]] = msg[2]
-            # Center knowledge of member broadcasts (local for the
-            # center's own broadcast).
-            star_broadcasts: Dict[int, Dict[int, Any]] = {}
-            for v, payload in broadcasters.items():
-                c = star_of.get(v)
-                if c is not None:
-                    star_broadcasts.setdefault(c, {})[v] = payload
+        # ---- Send step (i): broadcasts over F_1-incident edges.
+        spec: Dict[int, dict] = {}
+        for v, payload in broadcasters.items():
+            sends = [(u, ("i", v, payload))
+                     for u in sorted(f1_incident[v])]
+            if sends:
+                spec[v] = {"sends": sends}
+        # ---- Send step (ii): star members to their centers.
+        for v, payload in broadcasters.items():
+            c = star_of.get(v)
+            if c is not None and c != v:
+                spec.setdefault(v, {"sends": []}).setdefault(
+                    "sends", []).append((c, ("u", v, payload)))
+        if spec:
+            heard, m = _one_shot(graph, spec, bcast_only=False,
+                                 word_limit=transport_limit)
+            total.merge(m)
+            for v in graph.nodes():
+                for _src, msg in heard[v]:
+                    if msg[0] == "i":
+                        indirect_received[v][msg[1]] = msg[2]
+        # Center knowledge of member broadcasts (local for the
+        # center's own broadcast).
+        star_broadcasts: Dict[int, Dict[int, Any]] = {}
+        for v, payload in broadcasters.items():
+            c = star_of.get(v)
+            if c is not None:
+                star_broadcasts.setdefault(c, {})[v] = payload
 
-            # ---- Send step (iii): per-neighboring-cluster matchings.
-            hop1: List[Packet] = []
-            for c, bcasts in sorted(star_broadcasts.items()):
-                members = set(stars[c])
-                # Group the broadcasters' outside star-neighbors by
-                # their cluster.
-                by_cluster: Dict[int, List[Tuple[int, int]]] = {}
-                for w, _m in sorted(bcasts.items()):
-                    for u in graph.neighbors(w):
-                        cu = star_of.get(u)
-                        if cu is not None and cu != c:
-                            by_cluster.setdefault(cu, []).append((w, u))
-                for _cu, pairs in sorted(by_cluster.items()):
-                    for w, u in _greedy_maximal_matching(pairs):
-                        m1 = ("i", w, bcasts[w])
-                        senders = [(x, bcasts[x]) for x in sorted(bcasts)
-                                   if x in neighbors[u]]
-                        m2 = ("agg", tuple(aggregate(senders)))
-                        path = (c, w, u) if w != c else (c, u)
-                        hop1.append(Packet(path=path, payload=m1))
-                        hop1.append(Packet(path=path, payload=m2))
-            if hop1:
-                deliveries, m = route_packets(graph, hop1,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    if d.payload[0] == "i":
-                        indirect_received[d.dest][d.payload[1]] = \
-                            d.payload[2]
-                    else:
-                        direct_received[d.dest].extend(d.payload[1])
-
-            # ---- Receive step: indirect receipts go to the receiver's
-            # center (stars) or are aggregated locally (L_1 / centers).
-            up: List[Packet] = []
-            center_known: Dict[int, Dict[int, Any]] = {
-                c: dict(b) for c, b in star_broadcasts.items()}
-            for v, received in indirect_received.items():
-                c = star_of.get(v)
-                if c is None or c == v:
-                    if c == v:
-                        center_known.setdefault(c, {}).update(received)
-                    continue
-                for origin, payload in sorted(received.items()):
-                    up.append(Packet(path=(v, c),
-                                     payload=("r", origin, payload)))
-            if up:
-                deliveries, m = route_packets(graph, up,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    center_known.setdefault(d.dest, {})[d.payload[1]] = \
+        # ---- Send step (iii): per-neighboring-cluster matchings.
+        hop1: List[Packet] = []
+        for c, bcasts in sorted(star_broadcasts.items()):
+            members = set(stars[c])
+            # Group the broadcasters' outside star-neighbors by
+            # their cluster.
+            by_cluster: Dict[int, List[Tuple[int, int]]] = {}
+            for w, _m in sorted(bcasts.items()):
+                for u in graph.neighbors(w):
+                    cu = star_of.get(u)
+                    if cu is not None and cu != c:
+                        by_cluster.setdefault(cu, []).append((w, u))
+            for _cu, pairs in sorted(by_cluster.items()):
+                for w, u in _greedy_maximal_matching(pairs):
+                    m1 = ("i", w, bcasts[w])
+                    senders = [(x, bcasts[x]) for x in sorted(bcasts)
+                               if x in neighbors[u]]
+                    m2 = ("agg", tuple(aggregate(senders)))
+                    path = (c, w, u) if w != c else (c, u)
+                    hop1.append(Packet(path=path, payload=m1))
+                    hop1.append(Packet(path=path, payload=m2))
+        if hop1:
+            deliveries, m = route_packets(graph, hop1,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                if d.payload[0] == "i":
+                    indirect_received[d.dest][d.payload[1]] = \
                         d.payload[2]
-            down: List[Packet] = []
-            for c, known in sorted(center_known.items()):
-                for u in stars.get(c, [c]):
-                    relevant = [(src, known[src]) for src in sorted(known)
-                                if src in neighbors[u]]
-                    if not relevant:
-                        continue
-                    agg = aggregate(relevant)
-                    if u == c:
-                        inboxes.setdefault(u, []).extend(agg)
-                    else:
-                        down.append(Packet(path=(c, u),
-                                           payload=("agg", tuple(agg))))
-            if down:
-                deliveries, m = route_packets(graph, down,
-                                              word_limit=transport_limit)
-                total.merge(m)
-                for d in deliveries:
-                    inboxes.setdefault(d.dest, []).extend(d.payload[1])
+                else:
+                    direct_received[d.dest].extend(d.payload[1])
 
-            # ---- Compute inputs: direct receipts and local (L_1)
-            # aggregation of indirect receipts.
-            for v, received in direct_received.items():
-                if received:
-                    inboxes.setdefault(v, []).extend(received)
-            for v, received in indirect_received.items():
-                if star_of.get(v) is not None and v != star_of.get(v):
-                    continue  # served through the center above
-                relevant = [(src, payload) for src, payload
-                            in sorted(received.items())
-                            if src in neighbors[v]]
-                if relevant and v not in star_of:
-                    inboxes.setdefault(v, []).extend(aggregate(relevant))
+        # ---- Receive step: indirect receipts go to the receiver's
+        # center (stars) or are aggregated locally (L_1 / centers).
+        up: List[Packet] = []
+        center_known: Dict[int, Dict[int, Any]] = {
+            c: dict(b) for c, b in star_broadcasts.items()}
+        for v, received in indirect_received.items():
+            c = star_of.get(v)
+            if c is None or c == v:
+                if c == v:
+                    center_known.setdefault(c, {}).update(received)
+                continue
+            for origin, payload in sorted(received.items()):
+                up.append(Packet(path=(v, c),
+                                 payload=("r", origin, payload)))
+        if up:
+            deliveries, m = route_packets(graph, up,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                center_known.setdefault(d.dest, {})[d.payload[1]] = \
+                    d.payload[2]
+        down: List[Packet] = []
+        for c, known in sorted(center_known.items()):
+            for u in stars.get(c, [c]):
+                relevant = [(src, known[src]) for src in sorted(known)
+                            if src in neighbors[u]]
+                if not relevant:
+                    continue
+                agg = aggregate(relevant)
+                if u == c:
+                    inboxes.setdefault(u, []).extend(agg)
+                else:
+                    down.append(Packet(path=(c, u),
+                                       payload=("agg", tuple(agg))))
+        if down:
+            deliveries, m = route_packets(graph, down,
+                                          word_limit=transport_limit)
+            total.merge(m)
+            for d in deliveries:
+                inboxes.setdefault(d.dest, []).extend(d.payload[1])
 
-        if not inboxes:
-            live = [m for m in machines.values() if not m.halted]
-            if not live:
-                break
-            wakes = [m.wake_round() for m in live]
-            future = [w for w in wakes if w is not None and w > phase]
-            if all(m.passive() for m in live):
-                if not future:
-                    break
-                phase = min(future) - 1
+        # ---- Compute inputs: direct receipts and local (L_1)
+        # aggregation of indirect receipts.
+        for v, received in direct_received.items():
+            if received:
+                inboxes.setdefault(v, []).extend(received)
+        for v, received in indirect_received.items():
+            if star_of.get(v) is not None and v != star_of.get(v):
+                continue  # served through the center above
+            relevant = [(src, payload) for src, payload
+                        in sorted(received.items())
+                        if src in neighbors[v]]
+            if relevant and v not in star_of:
+                inboxes.setdefault(v, []).extend(aggregate(relevant))
+        return inboxes
+
+    phase, broadcasts_simulated = step_phases(
+        machines, deliver, max_phases=max_phases,
+        overrun="star simulation exceeded max_phases")
 
     simulation = total.delta_since(preprocessing)
     cluster_edges = hierarchy.cluster_edges()

@@ -4,11 +4,10 @@ Definition (§2.4): a collection of trees C such that (1) every tree has
 depth O(W k), (2) each vertex appears in Õ(k n^{1/k}) trees, and (3)
 some tree contains the entire W-neighborhood of each vertex.
 
-Construction (see DESIGN.md, substitution 2 -- an MPX-shift cover in
-place of Elkin's algorithm [13], with the same guarantees and the same
-broadcast-based structure): run r = Θ(n^{1/k} log n) independent
-repetitions of exponential-shift ball carving with rate
-beta = ln(n) / (2 k W).
+Construction (a substitution: an MPX-shift cover in place of Elkin's
+algorithm [13], with the same guarantees and the same broadcast-based
+structure): run r = Θ(n^{1/k} log n) independent repetitions of
+exponential-shift ball carving with rate beta = ln(n) / (2 k W).
 
 * Each repetition partitions V into clusters spanned by trees of depth
   <= 2 * cap ~ O(kW log-ish); since every vertex joins exactly one
@@ -110,6 +109,12 @@ class CoverCollectionMachine:
     drain in-flight messages).  Packaging the whole construction as a
     single machine is what lets Corollary 2.9 pay the Theorem 2.1
     preprocessing once, rather than once per repetition.
+
+    The machine is passive: besides reacting to messages it acts only at
+    the start round of each repetition's not-yet-adopted MPX machine and
+    at its halting round ``reps * window``, and ``wake_round()`` names
+    exactly those rounds.  It is duck-typed rather than a
+    :class:`~repro.congest.machine.Machine` subclass.
     """
 
     def __init__(self, info, reps: int, beta: float, cap: int):
@@ -128,13 +133,22 @@ class CoverCollectionMachine:
                 seed=(info.seed * 1_000_003 + rep * 7919) & 0x7FFFFFFF)
             self.machines.append(MPXMachine(sub_info, beta=beta, cap=cap))
         self._output = [None] * reps
+        self._next_rep = 0  # every earlier repetition has adopted
 
     # Machine protocol -------------------------------------------------
     def passive(self) -> bool:
-        return self.halted
+        return True
 
     def wake_round(self):
-        return None if self.halted else 1
+        if self.halted:
+            return None
+        while (self._next_rep < self.reps
+               and self.machines[self._next_rep].center is not None):
+            self._next_rep += 1
+        if self._next_rep < self.reps:
+            return (self._next_rep * self.window
+                    + self.machines[self._next_rep].start)
+        return self.reps * self.window
 
     def output(self):
         return list(self._output)

@@ -44,7 +44,14 @@ later (the standard Hungarian-algorithm lemma), so a clean sweep
 certifies maximality unconditionally.  The sweep is a robustness
 addition over the paper's schedule (which relies on the per-phase
 success analysis of [3]); it leaves the Õ(n²) broadcast complexity
-intact and is usually near-silent.  See DESIGN.md.
+intact and is usually near-silent.
+
+Every node follows the same fixed window schedule, so a node acts on its
+own only at a window ``start``, at confirm initiation
+(``backprop_end + 1``) and at the halt; otherwise it reacts to messages
+and drains its outbox.  The machine declares exactly that through
+``passive()`` / ``wake_round()``, and the event-driven drivers skip
+every other round of it.
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ class BipartiteMatchingMachine(Machine):
         self.mate: Optional[int] = None
         self.window_idx = 0
         self.broadcast_count = 0
+        self.last_round = 0  # the last round this machine was stepped
         self._reset_phase()
         self.set_output(None)
 
@@ -143,13 +151,31 @@ class BipartiteMatchingMachine(Machine):
             return self.mate != sender
         return self.mate == sender
 
+    # -- scheduling: between its boundaries the machine acts only on a
+    # message or on a queued outbox entry, so an idle round is a no-op.
     def passive(self) -> bool:
-        return self.halted
+        return self.halted or not self.outbox
+
+    def wake_round(self) -> Optional[int]:
+        """The first schedule boundary after the last stepped round: a
+        window ``start`` (per-phase reset, even when silent), its confirm
+        initiation at ``backprop_end + 1``, or the halt at
+        ``end_round + 1``."""
+        if self.halted:
+            return None
+        for idx in range(self.window_idx, len(self.schedule)):
+            w = self.schedule[idx]
+            if w.start > self.last_round:
+                return w.start
+            if w.backprop_end >= self.last_round:
+                return w.backprop_end + 1
+        return self.end_round + 1
 
     # ------------------------------------------------------------------
     def on_round(self, rnd: int, inbox: Inbox):
         if self.halted:
             return None
+        self.last_round = rnd
         if rnd > self.end_round:
             self.set_output(self.mate)
             self.halted = True
