@@ -82,9 +82,17 @@ class Machine:
 
     def __init__(self, info: NodeInfo):
         self.info = info
-        self.rng = random.Random(info.seed)
+        self._rng: Optional[random.Random] = None
         self.halted = False
         self._output: Any = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The node's private PRNG stream, seeded from ``info.seed`` on
+        first use -- the same stream, built only by machines that draw."""
+        if self._rng is None:
+            self._rng = random.Random(self.info.seed)
+        return self._rng
 
     # -- to implement ---------------------------------------------------
     def on_round(self, rnd: int, inbox: Inbox) -> Broadcast:

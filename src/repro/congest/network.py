@@ -53,25 +53,45 @@ Payload = Any
 Inbox = List[Tuple[int, Payload]]
 
 
+# Exact types that cost one word; subclasses (str enums, int flags) and
+# numpy scalars take the ``isinstance`` chain instead.
+_ONE_WORD_TYPES = frozenset((int, float, str, bool))
+
+
 def payload_words(payload: Payload) -> int:
     """Size of a payload in O(log n)-bit words.
 
     Scalars (IDs, distances, flags) cost one word; containers cost the sum
     of their items (dict entries cost key + value).  ``None`` is free: it
     is only ever a sentinel inside tuples.
+
+    Plain scalars are sized by exact type, before any ``isinstance``
+    check, and so are the plain-scalar items of containers.
     """
+    if type(payload) in _ONE_WORD_TYPES:
+        return 1
     if payload is None:
         return 0
-    if isinstance(payload, (int, float, bool, str)):
-        return 1
-    if isinstance(payload, numbers.Number):  # numpy scalars and friends
-        return 1
     if isinstance(payload, (tuple, list, frozenset, set)):
-        return max(1, sum(payload_words(item) for item in payload))
-    if isinstance(payload, dict):
-        return max(1, sum(payload_words(k) + payload_words(v)
-                          for k, v in payload.items()))
-    raise TypeError(f"unsupported payload type {type(payload)!r}")
+        total = _items_words(payload)
+    elif isinstance(payload, dict):
+        total = _items_words(payload) + _items_words(payload.values())
+    elif isinstance(payload, (str, numbers.Number)):
+        return 1  # subclasses, numpy scalars and friends
+    else:
+        raise TypeError(f"unsupported payload type {type(payload)!r}")
+    return total if total > 1 else 1
+
+
+def _items_words(items) -> int:
+    """Summed ``payload_words`` of ``items``, plain scalars inlined."""
+    total = 0
+    for item in items:
+        if type(item) in _ONE_WORD_TYPES:
+            total += 1
+        elif item is not None:
+            total += payload_words(item)
+    return total
 
 
 @dataclass
@@ -120,18 +140,29 @@ class Algorithm:
 class NodeAPI:
     """Capability handle passed to :meth:`Algorithm.on_round`."""
 
-    __slots__ = ("_net", "_id", "info", "rng", "_halted", "_output",
+    __slots__ = ("_net", "_id", "info", "_rng", "_halted", "_output",
                  "_sent_to", "_wake")
 
     def __init__(self, net: "Network", info: NodeInfo):
         self._net = net
         self._id = info.id
         self.info = info
-        self.rng = random.Random(info.seed)
+        self._rng: Optional[random.Random] = None
         self._halted = False
         self._output: Any = None
         self._sent_to: set = set()
         self._wake: Optional[int] = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The node's private PRNG stream, seeded from ``info.seed``.
+
+        Built on first use: most algorithms draw nothing, and seeding a
+        ``random.Random`` per node per execution is not free.
+        """
+        if self._rng is None:
+            self._rng = random.Random(self.info.seed)
+        return self._rng
 
     # -- communication -------------------------------------------------
     def send(self, dst: int, payload: Payload) -> None:

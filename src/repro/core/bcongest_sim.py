@@ -199,19 +199,22 @@ def simulate_bcongest(graph: Graph, factory: MachineFactory, *,
     transport_limit = message_words + 3  # payload + origin + dest + slack
 
     def check_size(payload: Any) -> None:
-        if payload_words(payload) > message_words:
+        words = payload_words(payload)
+        if words > message_words:
             raise AlgorithmError(
                 f"simulated algorithm broadcast "
-                f"{payload_words(payload)} words > {message_words}")
+                f"{words} words > {message_words}")
 
     def route(broadcasts: Iterable[Tuple[int, Any]]) -> List[Any]:
         """One packet per (broadcaster, neighboring cluster): downcast +
         F edge + upcast; returns the metered deliveries."""
         packets: List[Packet] = []
         for v, payload in broadcasts:
+            # One shared tuple per broadcast, so transport sizes it once.
+            item = (v, payload)
             for (_v, u_ext) in ldc.out_edges[v]:
                 path = down_paths[v] + (u_ext,) + up_paths[u_ext][1:]
-                packets.append(Packet(path=path, payload=(v, payload)))
+                packets.append(Packet(path=path, payload=item))
         if not packets:
             return []
         deliveries, metrics = route_packets(graph, packets,

@@ -10,8 +10,8 @@ send).
 All three patterns are instances of one primitive: a set of packets, each
 with a fixed path (a walk in the communication graph), delivered under
 the CONGEST constraint of one message per edge per direction per round,
-FIFO per link.  The simulator below is literal: every hop of every packet
-is a metered message, and rounds advance exactly as the pipelining would.
+FIFO per link.  Every hop of every packet is a metered message, and
+rounds advance exactly as the pipelining would.
 
 Paths are computed by the driver from tree structure that the involved
 nodes genuinely possess locally (parent pointers, and at centers the full
@@ -20,9 +20,43 @@ extra distributed knowledge: a real execution would route by destination
 using the same local tables.  Message-size accounting therefore counts
 the payload plus the destination, not the path.
 
+Two engines compute the same execution:
+
+* the **link-queue engine** (the default) keeps one FIFO queue per
+  directed link and lets each non-empty link send one packet per round.
+  It builds no ``NodeInfo``, ``NodeAPI`` or ``Algorithm``;
+* the **Network engine** runs one :class:`_TransportNode` per node on a
+  :class:`~repro.congest.network.Network`.  It is the differential
+  reference, and it serves every call made while an ambient non-null
+  :class:`~repro.congest.faults.FaultPlan` or a
+  :class:`~repro.congest.profile.RoundProfiler` is active -- faults act
+  on individual deliveries and profiles record individual rounds, which
+  only the Network executes.  Under a profiler (without faults) the
+  link-queue engine runs as well and must agree, so profiled sweeps
+  cross-check the two.
+
+The link-queue engine reproduces the Network engine exactly, deliveries
+and every :class:`~repro.congest.metrics.Metrics` field alike, for three
+reasons:
+
+* metering is a function of the paths alone: sizes are checked per
+  packet up front and every hop then counts as one 1-word message, so
+  ``messages == words == hops`` and ``message_sizes == {1: hops}``;
+* every sender sends at most once per link per round, so each inbox
+  arrives in ascending sender order.  Processing a round's arrivals by
+  (receiver, sender) therefore fixes the FIFO order on every link, each
+  delivery's round, and the order of the returned deliveries (by graph
+  node, then arrival).  A link first sends in the round it is first
+  enqueued on, so link creation order is also the first-send order that
+  orders ``edge_congestion``;
+* ``rounds`` is the round of the last arrival, or 1 when no packet
+  moves, since every node acts in round 1.
+
 The round and message costs of upcast/downcast proved in Lemmas 1.5/1.6
-are validated against this engine in ``tests/test_transport.py`` and
-regenerated in benchmark E10.
+are validated against this module in ``tests/test_primitives.py`` and
+``tests/test_transport_extra.py`` and regenerated in benchmark E10;
+``tests/test_transport_engine.py`` holds the engine-vs-reference
+differential.
 """
 
 from __future__ import annotations
@@ -32,8 +66,17 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.metrics import Metrics
-from repro.congest.network import Algorithm, Inbox, Network, NodeAPI, NodeInfo
+from repro.congest.faults import active_plan
+from repro.congest.metrics import Metrics, undirected
+from repro.congest.network import (
+    Algorithm,
+    Inbox,
+    Network,
+    NodeAPI,
+    NodeInfo,
+    payload_words,
+)
+from repro.congest.profile import active_profiler
 from repro.graphs.graph import Graph
 
 
@@ -77,6 +120,10 @@ class Delivery:
     round: int
 
 
+def _non_edge(u: int, v: int) -> AlgorithmError:
+    return AlgorithmError(f"packet path hop {u}->{v} is not an edge")
+
+
 class _TransportNode(Algorithm):
     """Per-node forwarding logic: FIFO queue per outgoing link."""
 
@@ -95,8 +142,7 @@ class _TransportNode(Algorithm):
             return
         nxt = packet.path[idx + 1]
         if nxt not in self.info.neighbors:
-            raise AlgorithmError(
-                f"packet path hop {packet.path[idx]}->{nxt} is not an edge")
+            raise _non_edge(packet.path[idx], nxt)
         self.queues.setdefault(nxt, deque()).append((packet, idx))
 
     def on_round(self, api: NodeAPI, rnd: int, inbox: Inbox) -> None:
@@ -118,9 +164,119 @@ class _TransportNode(Algorithm):
             api.wake_at(rnd + 1)
 
 
+def _route_on_network(graph: Graph, packets: Sequence[Packet], *,
+                      word_limit: int, max_rounds: int
+                      ) -> Tuple[List[Delivery], Metrics]:
+    """The reference engine: one :class:`_TransportNode` per node."""
+    by_origin: Dict[int, List[Packet]] = {}
+    for packet in packets:
+        by_origin.setdefault(packet.origin, []).append(packet)
+    net = Network(graph, word_limit=word_limit, check_sizes=False)
+    execution = net.run(_TransportNode, inputs=by_origin,
+                        max_rounds=max_rounds)
+    deliveries: List[Delivery] = []
+    for algo in execution.algorithms.values():
+        deliveries.extend(algo.delivered)
+    return deliveries, execution.metrics
+
+
+def _route_on_links(graph: Graph, packets: Sequence[Packet], *,
+                    max_rounds: int) -> Tuple[List[Delivery], Metrics]:
+    """The link-queue engine (see the module docstring).
+
+    A link's queue is FIFO and sends one packet per round, so a packet
+    enqueued in round ``r`` leaves in ``max(r, free)``, where ``free`` is
+    the round after the link's previous departure, and arrives one round
+    later.  Arrivals are bucketed by round and processed in (receiver,
+    sender) order -- the Network engine's activation and inbox order.
+    """
+    metrics = Metrics()
+    nbr_sets = graph.nbr_sets()
+    if not nbr_sets:
+        return [], metrics
+    n = graph.n
+    paths = [packet.path for packet in packets]
+    link_of: Dict[Tuple[int, int], int] = {}   # (u, v) -> link id
+    link_free: List[int] = []                  # round the link is free
+    link_hops: List[int] = []                  # packets it carried
+    link_edges: List[Tuple[int, int]] = []     # congestion key
+    delivered: Dict[int, List[Delivery]] = {}
+    arrivals: Dict[int, List[Tuple[int, int, int]]] = {}
+    # Round 1: every origin injects its packets in list order.
+    batch = [(path[0] * n, i, 0) for i, path in enumerate(paths)
+             if path[0] in nbr_sets]
+    rnd = 0
+    while batch is not None:
+        rnd += 1
+        if rnd > max_rounds:
+            raise AlgorithmError(
+                f"exceeded max_rounds={max_rounds}; likely livelock")
+        batch.sort()
+        for _key, i, idx in batch:
+            path = paths[i]
+            v = path[idx]
+            if idx == len(path) - 1:
+                packet = packets[i]
+                box = delivered.get(v)
+                if box is None:
+                    box = delivered[v] = []
+                box.append(Delivery(origin=path[0], dest=v,
+                                    payload=packet.payload, tag=packet.tag,
+                                    round=rnd))
+                continue
+            nxt = path[idx + 1]
+            lid = link_of.get((v, nxt))
+            if lid is None:
+                if nxt not in nbr_sets[v]:
+                    raise _non_edge(v, nxt)
+                lid = link_of[(v, nxt)] = len(link_free)
+                link_free.append(rnd)
+                link_hops.append(0)
+                link_edges.append(undirected(v, nxt))
+            depart = link_free[lid]
+            if depart < rnd:
+                depart = rnd
+            link_free[lid] = depart + 1
+            link_hops[lid] += 1
+            bucket = arrivals.get(depart + 1)
+            if bucket is None:
+                bucket = arrivals[depart + 1] = []
+            bucket.append((nxt * n + v, i, idx + 1))
+        # Busy links keep every round up to the last arrival non-empty.
+        batch = arrivals.pop(rnd + 1, None)
+
+    hops = sum(link_hops)
+    if hops:
+        metrics.messages = metrics.words = hops
+        metrics.max_message_words = 1
+        metrics.message_sizes[1] = hops
+        congestion = metrics.edge_congestion
+        for edge, count in zip(link_edges, link_hops):
+            congestion[edge] += count
+    metrics.rounds = rnd
+    deliveries: List[Delivery] = []
+    for v in graph.nodes():
+        box = delivered.get(v)
+        if box is not None:
+            deliveries.extend(box)
+    return deliveries, metrics
+
+
+def _same_execution(a: Tuple[List[Delivery], Metrics],
+                    b: Tuple[List[Delivery], Metrics]) -> bool:
+    """Whether two engines' results agree exactly (payloads by identity)."""
+    def rows(deliveries: List[Delivery]) -> List[Tuple[Any, ...]]:
+        return [(d.origin, d.dest, id(d.payload), id(d.tag), d.round)
+                for d in deliveries]
+
+    (da, ma), (db, mb) = a, b
+    return (rows(da) == rows(db) and ma == mb
+            and list(ma.edge_congestion.items())
+            == list(mb.edge_congestion.items()))
+
+
 def _packet_words(packet: Packet) -> int:
     """Declared size: destination + payload (route is implicit)."""
-    from repro.congest.network import payload_words
     return 1 + payload_words(packet.payload)
 
 
@@ -131,25 +287,41 @@ def route_packets(graph: Graph, packets: Sequence[Packet], *,
 
     The network-level size check is replaced by a per-packet check of
     destination + payload, since the path is implicit routing state.
+    Each distinct payload is sized once: by value, or by identity when
+    it is unhashable (the packets keep it alive for the whole call).
     """
+    sizes: Dict[Any, int] = {}
+    by_identity: Dict[int, int] = {}  # unhashable payloads (holding dicts)
     for packet in packets:
-        size = _packet_words(packet)
+        payload = packet.payload
+        try:
+            memo, key = sizes, payload
+            size = sizes.get(key)
+        except TypeError:
+            memo, key = by_identity, id(payload)
+            size = by_identity.get(key)
+        if size is None:
+            size = memo[key] = _packet_words(packet)
         if size > word_limit:
             raise AlgorithmError(
                 f"packet payload of {size} words exceeds limit {word_limit}")
-    by_origin: Dict[int, List[Packet]] = {}
-    for packet in packets:
-        by_origin.setdefault(packet.origin, []).append(packet)
-    net = Network(graph, word_limit=word_limit, check_sizes=False)
-    execution = net.run(_TransportNode, inputs=by_origin,
-                        max_rounds=max_rounds)
-    deliveries: List[Delivery] = []
-    for algo in execution.algorithms.values():
-        deliveries.extend(algo.delivered)
+    plan = active_plan()
+    faulted = plan is not None and not plan.is_null
+    if faulted or active_profiler() is not None:
+        result = _route_on_network(graph, packets, word_limit=word_limit,
+                                   max_rounds=max_rounds)
+        if not faulted:  # profiled: cross-check the link-queue engine
+            links = _route_on_links(graph, packets, max_rounds=max_rounds)
+            if not _same_execution(result, links):
+                raise RuntimeError(
+                    "link-queue transport diverged from the Network engine")
+    else:
+        result = _route_on_links(graph, packets, max_rounds=max_rounds)
+    deliveries = result[0]
     if len(deliveries) != len(packets):
         raise AlgorithmError(
             f"transport lost packets: {len(deliveries)}/{len(packets)}")
-    return deliveries, execution.metrics
+    return result
 
 
 # ----------------------------------------------------------------------

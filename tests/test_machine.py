@@ -1,17 +1,24 @@
 """Machine layer: adapter scheduling, LocalRunner oracle, seed stability,
-and the Theorem 2.1 report invariants on small and degenerate inputs."""
+lazy per-node PRNGs, and the Theorem 2.1 report invariants on small and
+degenerate inputs."""
+
+import random
 
 import pytest
 
 from repro.congest import (
+    Algorithm,
     LocalRunner,
     Machine,
     make_node_info,
     node_seed,
+    run_algorithm,
     run_machines,
 )
 from repro.core.bcongest_sim import chunk_words, flatten_to_words, simulate_bcongest
+from repro.decomposition.mpx import run_mpx
 from repro.graphs import from_edges, gnp, path
+from repro.matching.israeli_itai import IsraeliItaiMachine
 from repro.primitives import BFSMachine, LubyMISMachine
 
 
@@ -135,3 +142,65 @@ def test_run_machines_word_limit_enforced():
 
     with pytest.raises(MessageTooLarge):
         run_machines(path(2), Fat, word_limit=8)
+
+
+# ---------------------------------------------------------------------
+# Lazy per-node PRNGs
+# ---------------------------------------------------------------------
+def _count_rngs(monkeypatch, run):
+    """Run ``run()`` counting the ``random.Random`` instances built."""
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(random, "Random", Counting)
+        run()
+    return len(built)
+
+
+def test_non_random_runs_build_no_rng(monkeypatch):
+    class Echo(Algorithm):
+        def on_round(self, api, rnd, inbox):
+            if rnd == 1:
+                api.broadcast(self.info.id)
+
+    g = gnp(12, 0.4, seed=2)
+    assert _count_rngs(monkeypatch, lambda: run_machines(
+        g, lambda info: BFSMachine(info, root=0))) == 0
+    assert _count_rngs(monkeypatch, lambda: run_algorithm(g, Echo)) == 0
+    assert _count_rngs(monkeypatch, lambda: run_machines(
+        g, LubyMISMachine)) > 0
+
+
+def _eager(monkeypatch):
+    """Build every machine's PRNG at construction, as before."""
+    init = Machine.__init__
+
+    def eager_init(self, info):
+        init(self, info)
+        self.rng
+
+    monkeypatch.setattr(Machine, "__init__", eager_init)
+
+
+def _randomized_runs():
+    g = gnp(16, 0.3, seed=5)
+    luby = run_machines(g, LubyMISMachine, seed=3)
+    itai = run_machines(g, IsraeliItaiMachine, seed=4)
+    mpx = run_mpx(g, beta=0.5, seed=6)
+    return (luby.outputs, luby.metrics.as_dict(),
+            itai.outputs, itai.metrics.as_dict(),
+            mpx.center_of, mpx.dist, mpx.parent,
+            mpx.metrics.as_dict())
+
+
+def test_lazy_rng_keeps_luby_israeli_itai_and_mpx_outputs(monkeypatch):
+    lazy = _randomized_runs()
+    with monkeypatch.context() as patch:
+        _eager(patch)
+        eager = _randomized_runs()
+    assert lazy == eager

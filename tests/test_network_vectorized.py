@@ -7,9 +7,13 @@ message/word/broadcast metering, per-edge congestion, inbox ordering,
 and raised errors.  Everything is driven by seeded randomness so a
 failure reproduces from the printed parameters."""
 
+import collections
+import numbers
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest.errors import DuplicateSend, MessageTooLarge
 from repro.congest.machine import Machine, run_machines
@@ -189,3 +193,60 @@ def test_duplicate_send_raises_on_both_paths(fast):
     with pytest.raises(DuplicateSend, match="sent twice"):
         run_algorithm(graph, SendThenBroadcast, word_limit=8,
                       fast_path=fast)
+
+
+# ---------------------------------------------------------------------------
+# payload_words: exact-type fast path vs the recursive reference
+# ---------------------------------------------------------------------------
+
+def _reference_payload_words(payload) -> int:
+    """``payload_words`` as it was before the exact-type fast path."""
+    if payload is None:
+        return 0
+    if isinstance(payload, (int, float, bool, str)):
+        return 1
+    if isinstance(payload, numbers.Number):
+        return 1
+    if isinstance(payload, (tuple, list, frozenset, set)):
+        return max(1, sum(_reference_payload_words(item)
+                          for item in payload))
+    if isinstance(payload, dict):
+        return max(1, sum(_reference_payload_words(k)
+                          + _reference_payload_words(v)
+                          for k, v in payload.items()))
+    raise TypeError(f"unsupported payload type {type(payload)!r}")
+
+
+def _words_or_error(size, payload):
+    try:
+        return size(payload)
+    except TypeError as exc:  # e.g. numpy bools are not numbers.Number
+        return str(exc)
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=3), st.integers(-9, 9).map(np.int64),
+    st.floats(0, 1).map(np.float64), st.booleans().map(np.bool_))
+_HASHABLE = st.recursive(
+    _SCALARS, lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: _Pair(*t)),
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(st.integers(0, 9), max_size=4)),
+    max_leaves=12)
+_PAYLOADS = st.recursive(
+    _HASHABLE, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_HASHABLE, inner, max_size=3),
+        st.sets(st.integers(0, 9), max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_PAYLOADS, st.sampled_from(
+    [object(), (1, object()), [b"x"], {1: [None, object()]}])))
+def test_payload_words_fast_path_matches_reference(payload):
+    assert _words_or_error(payload_words, payload) == \
+        _words_or_error(_reference_payload_words, payload)
