@@ -233,15 +233,27 @@ def _dict_era_construction():
          Graph.reweighted) = originals
 
 
+@contextlib.contextmanager
+def _restored_config():
+    """Put the process-wide sweep config back after a measurement."""
+    from repro.runner.config import SweepConfig
+
+    saved = SweepConfig.current()
+    try:
+        yield
+    finally:
+        saved.apply()
+
+
 @register_benchmark("graph-core")
 def bench_graph_core() -> BenchReport:
     from repro.runner import graph_cache
 
     # The measurement is defined against the default, *storeless* cache
-    # chain: with REPRO_GRAPH_STORE_DIR exported, store publishes and
-    # mmap hits would leak into every timing (and snapshots into the
-    # user's store).  Disconnect for the duration, then restore.
-    with _graph_cache_state():
+    # chain: a connected store's publishes and mmap hits would leak into
+    # every timing (and snapshots into the user's store).  Disconnect
+    # for the duration, then restore.
+    with _restored_config():
         graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
         graph_cache.configure_store(None)
         return _measure_graph_core()
@@ -389,20 +401,6 @@ _STORE_CASES_SMOKE = (("dense-gnp", 24), ("sparse-gnp", 48),
                       ("grid-weighted", 36))
 
 
-@contextlib.contextmanager
-def _graph_cache_state():
-    """Snapshot + restore the process-wide graph cache configuration."""
-    from repro.runner import graph_cache
-
-    store = graph_cache.effective_store()
-    maxsize = graph_cache.effective_maxsize()
-    try:
-        yield
-    finally:
-        graph_cache.configure(maxsize)
-        graph_cache.configure_store(None if store is None else store.root)
-
-
 @register_benchmark("graph-store")
 def bench_graph_store(smoke: bool = False) -> BenchReport:
     import shutil
@@ -418,7 +416,7 @@ def bench_graph_store(smoke: bool = False) -> BenchReport:
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
-    with _graph_cache_state(), tempfile.TemporaryDirectory() as tmp:
+    with _restored_config(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         store = GraphStore(root / "warm")
 
@@ -510,20 +508,6 @@ _ORACLE_CASES_SMOKE = (("dense-gnp", 16), ("grid-weighted", 12),
                        ("bipartite-balanced", 14))
 
 
-@contextlib.contextmanager
-def _oracle_cache_state():
-    """Snapshot + restore the process-wide oracle cache configuration."""
-    from repro.runner import oracle_cache
-
-    store = oracle_cache.effective_store()
-    maxsize = oracle_cache.effective_maxsize()
-    try:
-        yield
-    finally:
-        oracle_cache.configure(maxsize)
-        oracle_cache.configure_store(None if store is None else store.root)
-
-
 @register_benchmark("oracle-store")
 def bench_oracle_store(smoke: bool = False) -> BenchReport:
     import shutil
@@ -539,7 +523,7 @@ def bench_oracle_store(smoke: bool = False) -> BenchReport:
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
-    with _oracle_cache_state(), tempfile.TemporaryDirectory() as tmp:
+    with _restored_config(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         store = OracleStore(root / "warm")
 
@@ -653,21 +637,6 @@ _PIPELINE_CASES_SMOKE = (("dense-gnp", 28), ("grid", 36),
                          ("sparse-gnp", 40))
 
 
-@contextlib.contextmanager
-def _decomposition_cache_state():
-    """Snapshot + restore the decomposition cache configuration."""
-    from repro.runner import decomposition_cache
-
-    store = decomposition_cache.effective_store()
-    maxsize = decomposition_cache.effective_maxsize()
-    try:
-        yield
-    finally:
-        decomposition_cache.configure(maxsize)
-        decomposition_cache.configure_store(
-            None if store is None else store.root)
-
-
 @register_benchmark("decomposition-pipeline")
 def bench_decomposition_pipeline(smoke: bool = False) -> BenchReport:
     import shutil
@@ -683,7 +652,7 @@ def bench_decomposition_pipeline(smoke: bool = False) -> BenchReport:
     speedups: Dict[str, float] = {}
     extra: Dict[str, Any] = {"smoke": smoke}
 
-    with _decomposition_cache_state(), tempfile.TemporaryDirectory() as tmp:
+    with _restored_config(), tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         store = DecompositionStore(root / "warm")
 
@@ -808,7 +777,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
     from repro.congest.machine import run_machines
     from repro.core.bfs_collections import _message_budget, shared_delays
     from repro.graphs import gnp_streaming
-    from repro.kernels import jit, wavefront
+    from repro.kernels import wavefront
     from repro.primitives.bfs import BFSCollectionMachine
 
     params = _KERNEL_SMOKE if smoke else _KERNEL_FULL
@@ -857,8 +826,7 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
         speedups={"wavefront_kernel_vs_vectorized": t_vec / t_kernel},
         extra={"smoke": smoke, "n": graph.n, "m": graph.m,
                "roots": n_roots, "rounds": base.metrics.rounds,
-               "messages": base.metrics.messages,
-               "numba_jit": jit.available()})
+               "messages": base.metrics.messages})
 
 
 # ---------------------------------------------------------------------------

@@ -218,14 +218,8 @@ def _print_comparison(comparison) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """The runner-backed sweep: persist / resume / list / compare."""
-    from repro.runner import (
-        RunStore,
-        compare_runs,
-        decomposition_cache,
-        graph_cache,
-        oracle_cache,
-        run_sweep,
-    )
+    from repro.runner import RunStore, compare_runs, run_sweep
+    from repro.runner.config import SweepConfig
     from repro.testing import summarize
 
     store = RunStore(args.runs_dir)
@@ -270,43 +264,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 _print_comparison(comparison)
             return 0 if comparison.ok else 1
 
-        if args.store:
-            graph_store_dir = (args.store_dir if args.store_dir is not None
-                               else str(pathlib.Path(args.runs_dir)
-                                        / "store"))
-        else:
-            graph_store_dir = None
-            graph_cache.configure_store(None)
-        # The oracle and decomposition families share the store root;
-        # --no-oracle-store / --no-decomposition-store (or --no-store)
-        # disconnect one family / everything.
-        if args.store and args.oracle_store:
-            oracle_store_dir = graph_store_dir
-        else:
-            oracle_store_dir = None
-            oracle_cache.configure_store(None)
-        if args.store and args.decomposition_store:
-            decomposition_store_dir = graph_store_dir
-        else:
-            decomposition_store_dir = None
-            decomposition_cache.configure_store(None)
-        # Profiling is strictly opt-in: with the flags absent, configure
-        # the capture plane OFF explicitly so ambient REPRO_PROFILE_* /
-        # REPRO_CPROFILE env vars cannot switch it on behind the CLI.
-        from repro.runner import profile_capture
-        if args.profile:
-            profile_store_dir = (args.store_dir
-                                 if args.store_dir is not None
-                                 else str(pathlib.Path(args.runs_dir)
-                                          / "store"))
-        else:
-            profile_store_dir = None
-            profile_capture.configure_profiles(None)
-        if not args.cprofile:
-            profile_capture.configure_cprofile(False)
-        # Kernels follow the same rule: the flag decides, so an ambient
-        # REPRO_KERNELS env var cannot switch the plane on behind the
-        # CLI (run_sweep configures the env for pool workers).
+        # The oracle, decomposition and profile families share the store
+        # root; --no-oracle-store / --no-decomposition-store (or
+        # --no-store) disconnect one family / everything.
+        store_root = (args.store_dir if args.store_dir is not None
+                      else str(pathlib.Path(args.runs_dir) / "store"))
+        graph_store_dir = store_root if args.store else None
+        oracle_store_dir = (store_root if args.store and args.oracle_store
+                            else None)
+        decomposition_store_dir = (store_root if args.store
+                                   and args.decomposition_store else None)
+        # The flags alone decide every plane: start from the defaults.
+        SweepConfig().apply()
         outcome = run_sweep(args.names, sizes=args.sizes, seeds=args.seeds,
                             workers=args.workers, timeout=args.timeout,
                             retries=args.retries, store=store,
@@ -324,8 +293,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             bench_history_dir=(graph_store_dir
                                                if args.bench_history
                                                else None),
-                            profile_store_dir=profile_store_dir,
-                            cprofile=(True if args.cprofile else None),
+                            profile_store_dir=(store_root if args.profile
+                                               else None),
+                            cprofile=bool(args.cprofile),
                             kernels=bool(args.kernels))
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
@@ -407,7 +377,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if r.record is not None
                 and r.record.get("profile_source", "none") != "none")
             print(f"round profiles: {profiled} cell(s) captured under "
-                  f"{profile_store_dir} "
+                  f"{store_root} "
                   f"(inspect with `repro profile ls/show/diff`)")
         if args.cprofile:
             hot_cells = sum(1 for r in outcome.results if r.hot)

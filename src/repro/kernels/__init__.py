@@ -7,7 +7,7 @@ with *exact* metering replication -- canonical differential records are
 byte-identical kernels on vs off.  See :mod:`repro.kernels.config` for
 the knob, the eligibility registry, and the ``engine_source`` labels;
 :mod:`repro.kernels.wavefront` and :mod:`repro.kernels.relaxation` for
-the engines; :mod:`repro.kernels.jit` for the optional numba tier.
+the engines.
 """
 
 from repro.kernels.config import (

@@ -17,22 +17,20 @@ regression-tracked workload:
   two runs (verdict flips, metered drift, wall-time ratios);
 * :mod:`repro.runner.engine` -- the high-level
   plan -> resume -> execute -> persist pipeline;
-* :mod:`repro.runner.graph_cache` -- the scenario-graph cache chain
-  the differential harness draws from: a per-worker content-addressed
-  LRU (keyed by derived construction seed), falling through to the
-  shared on-disk snapshot store of :mod:`repro.store` (mmap'd CSR
-  arrays) when one is configured, then to build-and-publish -- so
-  same-scenario cells stop rebuilding their graph within *and across*
-  worker processes, sweeps, and revisions;
-* :mod:`repro.runner.oracle_cache` -- the mirror chain for the cells'
-  sequential baselines (ground-truth distance matrices, matching
-  sizes, the LDC reference realization), keyed additionally by the
-  oracle's name and source revision, so cells stop recomputing their
-  ground truth too;
-* :mod:`repro.runner.decomposition_cache` -- the third chain, for the
-  staged pipeline's input artifact: the LDC decomposition snapshot the
-  ``ldc`` producer cell realizes and the cover/spanner/hierarchy cells
-  consume, so downstream cells stop re-running MPX per cell.
+* :mod:`repro.runner.chain` -- the one fall-through artifact chain
+  (per-worker LRU -> the shared on-disk store of :mod:`repro.store` ->
+  compute-and-publish) behind three typed entry points:
+  :mod:`repro.runner.graph_cache` (scenario graphs, keyed by derived
+  construction seed), :mod:`repro.runner.oracle_cache` (the cells'
+  sequential baselines, keyed additionally by oracle name and source
+  revision) and :mod:`repro.runner.decomposition_cache` (the LDC
+  snapshot the staged cover/spanner/hierarchy cells consume) -- so
+  cells stop recomputing their inputs within *and across* worker
+  processes, sweeps, and revisions;
+* :mod:`repro.runner.config` -- :class:`SweepConfig`, the frozen,
+  picklable snapshot of every process-wide sweep knob (chain sizes and
+  stores, profile capture, kernels) that ``run_sweep`` applies
+  in-process and hands to every pool worker.
 
 Consumers: the ``repro sweep`` CLI command, ``repro scenarios sweep``,
 :func:`repro.testing.sweep`, and ``examples/parallel_sweep.py``.

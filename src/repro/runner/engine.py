@@ -15,6 +15,7 @@ in memory -- that is what :func:`repro.testing.sweep` and the
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
@@ -252,15 +253,13 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     ``decomposition_store_dir`` connect the on-disk artifact store
     families (:mod:`repro.store`) for this sweep, and
     ``graph_cache_size`` / ``oracle_cache_size`` /
-    ``decomposition_cache_size`` re-size the per-worker LRUs; all six
-    are process-wide settings (propagated to pool workers through the
-    environment) and are left untouched when None.  The effective
-    values are recorded in the run manifest either way, and the run's
-    store hit/miss counters (graphs, oracles, and decompositions, from
-    the executed cells) are stamped onto the manifest -- merged across
-    invocations, so a resumed run's counters cover every invocation's
-    executed cells, and stamped even when the invocation is interrupted
-    mid-sweep.
+    ``decomposition_cache_size`` re-size the per-worker LRUs.  The
+    effective values are recorded in the run manifest either way, and
+    the run's store hit/miss counters (graphs, oracles, and
+    decompositions, from the executed cells) are stamped onto the
+    manifest -- merged across invocations, so a resumed run's counters
+    cover every invocation's executed cells, and stamped even when the
+    invocation is interrupted mid-sweep.
 
     ``telemetry`` (persisted runs only) writes the cell-lifecycle
     timeline to ``telemetry.jsonl`` beside the records
@@ -286,9 +285,7 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     are byte-identical profile on/off.  ``cprofile=True`` additionally
     wraps each cell body in ``cProfile`` and attaches the top hot
     functions to the result (``CellResult.hot``), aggregated by
-    ``repro runs report``.  Both are process-wide settings (propagated
-    to pool workers through the environment) and left untouched when
-    None.
+    ``repro runs report``.
 
     ``kernels=True`` turns on the array-native round engines
     (:mod:`repro.kernels`): eligible cells run their whole metered
@@ -296,31 +293,25 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
     and each record gains an ``engine_source`` provenance label (a
     NONDETERMINISTIC_FIELD -- the kernels replicate metering exactly,
     so canonical records are byte-identical kernels on or off).
-    Process-wide (propagated to pool workers through the environment),
-    left untouched when None.
-    """
-    from repro.runner import decomposition_cache, graph_cache, oracle_cache
-    from repro.runner import profile_capture
 
-    if graph_cache_size is not None:
-        graph_cache.configure(graph_cache_size)
-    if graph_store_dir is not None:
-        graph_cache.configure_store(graph_store_dir)
-    if oracle_cache_size is not None:
-        oracle_cache.configure(oracle_cache_size)
-    if oracle_store_dir is not None:
-        oracle_cache.configure_store(oracle_store_dir)
-    if decomposition_cache_size is not None:
-        decomposition_cache.configure(decomposition_cache_size)
-    if decomposition_store_dir is not None:
-        decomposition_cache.configure_store(decomposition_store_dir)
-    if profile_store_dir is not None:
-        profile_capture.configure_profiles(profile_store_dir)
-    if cprofile is not None:
-        profile_capture.configure_cprofile(cprofile)
-    if kernels is not None:
-        from repro.kernels import config as kernels_config
-        kernels_config.configure_kernels(kernels)
+    Every knob above that is None is left as the process has it; the
+    rest are applied as one :class:`~repro.runner.config.SweepConfig`
+    (a chain's LRU is cleared only when its size changes), and pool
+    workers run under that same config.
+    """
+    from repro.runner.config import SweepConfig
+
+    knobs = {"graph_cache_size": graph_cache_size,
+             "graph_store_dir": graph_store_dir,
+             "oracle_cache_size": oracle_cache_size,
+             "oracle_store_dir": oracle_store_dir,
+             "decomposition_cache_size": decomposition_cache_size,
+             "decomposition_store_dir": decomposition_store_dir,
+             "profile_store_dir": profile_store_dir,
+             "cprofile": cprofile, "kernels": kernels}
+    dataclasses.replace(SweepConfig.current(), **{
+        name: value for name, value in knobs.items()
+        if value is not None}).apply()
 
     if faults is not None:
         from repro.congest.faults import get_fault_profile
@@ -343,30 +334,20 @@ def run_sweep(names: Optional[Sequence[str]] = None, *,
             run = store.find_resumable(params, revision)
             resumed = run is not None
         if run is None:
-            effective_store = graph_cache.effective_store()
-            effective_oracles = oracle_cache.effective_store()
-            effective_decompositions = decomposition_cache.effective_store()
-            extra = {"graph_cache_size": graph_cache.effective_maxsize(),
-                     "graph_store": (None if effective_store is None
-                                     else str(effective_store.root)),
-                     "oracle_cache_size":
-                         oracle_cache.effective_maxsize(),
-                     "oracle_store": (None if effective_oracles is None
-                                      else str(effective_oracles.root)),
-                     "decomposition_cache_size":
-                         decomposition_cache.effective_maxsize(),
-                     "decomposition_store":
-                         (None if effective_decompositions is None
-                          else str(effective_decompositions.root))}
-            # Profiling knobs appear in the manifest only when on, so
-            # unprofiled manifests keep their exact key set.
-            profiles = profile_capture.effective_profile_store()
-            if profiles is not None:
-                extra["profile_store"] = str(profiles.root)
-            if profile_capture.cprofile_enabled():
+            config = SweepConfig.current()
+            extra: Dict[str, Any] = {}
+            for family in ("graph", "oracle", "decomposition"):
+                extra[f"{family}_cache_size"] = getattr(
+                    config, f"{family}_cache_size")
+                extra[f"{family}_store"] = getattr(config,
+                                                   f"{family}_store_dir")
+            # Profiling and kernel knobs appear in the manifest only
+            # when on, so manifests without them keep their exact key set.
+            if config.profile_store_dir is not None:
+                extra["profile_store"] = config.profile_store_dir
+            if config.cprofile:
                 extra["cprofile"] = True
-            from repro.kernels import config as kernels_config
-            if kernels_config.kernels_enabled():
+            if config.kernels:
                 extra["kernels"] = True
             run = store.create_run(specs, params, revision=revision,
                                    extra=extra)

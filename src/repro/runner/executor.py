@@ -31,6 +31,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence
 
+from repro.runner.config import SweepConfig
 from repro.runner.jobs import DONE, ERROR, TIMEOUT, CellResult, JobSpec
 
 OnResult = Callable[[CellResult], None]
@@ -43,9 +44,11 @@ OnPoolCrash = Callable[[List[JobSpec], int], None]
 _IN_WORKER = False
 
 
-def _mark_worker() -> None:
+def _init_worker(config: SweepConfig) -> None:
+    """Pool initializer: adopt the submitting process's sweep config."""
     global _IN_WORKER
     _IN_WORKER = True
+    config.apply()
 
 
 class CellTimeout(Exception):
@@ -106,8 +109,7 @@ def execute_cell(spec: JobSpec,
                           error="crash instrumentation requires a "
                                 "worker pool (workers > 1)")
     # Opt-in observability: a round profiler when a profiles store (or
-    # --profile) is configured, cProfile when --cprofile is.  Both knobs
-    # resolve through the environment so pool workers pick them up; with
+    # --profile) is configured, cProfile when --cprofile is.  With
     # neither set this block adds two cheap checks and nothing else.
     from repro.runner import profile_capture
     profiler = None
@@ -251,7 +253,10 @@ def run_cells(specs: Sequence[JobSpec], *, workers: int = 1,
     window = workers * 2
     pending = {}
     rebuilds = 0
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_mark_worker)
+    # Workers run under the config in force now, however they start.
+    pool_args = dict(max_workers=workers, initializer=_init_worker,
+                     initargs=(SweepConfig.current(),))
+    pool = ProcessPoolExecutor(**pool_args)
 
     def dispatch(index: int) -> None:
         if on_start is not None:
@@ -263,8 +268,7 @@ def run_cells(specs: Sequence[JobSpec], *, workers: int = 1,
         rebuilds += 1
         pool.shutdown(wait=False, cancel_futures=True)
         time.sleep(min(backoff * (2 ** (rebuilds - 1)), 2.0))
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_mark_worker)
+        pool = ProcessPoolExecutor(**pool_args)
 
     def handle_result(index: int, result: CellResult) -> None:
         result = _merge_attempts(result, previous[index], attempts[index])

@@ -32,24 +32,14 @@ def scenario_size(request):
 
 
 @pytest.fixture(autouse=True)
-def _graph_cache_isolation():
-    """Reset the process-wide graph and decomposition chains per test.
+def _sweep_config_isolation():
+    """Put every process-wide sweep knob back to its default per test.
 
-    The chains (LRU size, connected store, exported env vars) are
-    deliberately process-global so pool workers inherit them; in the
-    test process that would leak one test's store into the next.
+    The chains, profile capture and the kernel tier are deliberately
+    process-global (one :class:`SweepConfig` per process); in the test
+    process that would leak one test's store or flag into the next.
     """
     yield
-    from repro.runner import decomposition_cache, graph_cache, \
-        profile_capture
+    from repro.runner.config import SweepConfig
 
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-    graph_cache.configure_store(None)
-    decomposition_cache.configure(decomposition_cache.DEFAULT_MAXSIZE)
-    decomposition_cache.configure_store(None)
-    # The profile-capture plane exports env vars the same way; reset it
-    # to pristine so one test's --profile/--cprofile cannot leak.
-    profile_capture.reset()
-    # Same for the kernel plane's knob (and any pending engine note).
-    from repro.kernels import config as kernels_config
-    kernels_config.reset()
+    SweepConfig().apply()

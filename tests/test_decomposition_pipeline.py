@@ -26,7 +26,6 @@ consume it through :mod:`repro.runner.decomposition_cache`.  Pins:
 
 import json
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from repro.runner import (
     oracle_cache,
     run_sweep,
 )
+from repro.runner.config import SweepConfig
 from repro.runner.engine import SweepOutcome
 from repro.scenarios import get_scenario
 from repro.scenarios.bindings import BINDINGS
@@ -161,40 +161,21 @@ def test_unknown_decomposition_algorithm_is_an_error():
                                              derived)
 
 
-def test_store_config_propagates_through_environment(dchain, monkeypatch):
-    """Worker processes resolve the store from the exported env var."""
-    assert os.environ[decomposition_cache.STORE_DIR_ENV] == str(dchain.root)
-    monkeypatch.setattr(decomposition_cache, "_store", None)
-    monkeypatch.setattr(decomposition_cache, "_store_probed", False)
-    resolved = decomposition_cache.effective_store()
-    assert resolved is not None and str(resolved.root) == str(dchain.root)
-    decomposition_cache.configure_store(None)
-    assert decomposition_cache.STORE_DIR_ENV not in os.environ
-    assert decomposition_cache.effective_store() is None
-
-
-def test_cache_size_env_round_trip(monkeypatch):
-    monkeypatch.setenv(decomposition_cache.CACHE_SIZE_ENV, "9")
-    assert decomposition_cache._env_maxsize() == 9
-    monkeypatch.setenv(decomposition_cache.CACHE_SIZE_ENV, "not-a-number")
-    assert decomposition_cache._env_maxsize() == \
-        decomposition_cache.DEFAULT_MAXSIZE
-    decomposition_cache.configure(5)
-    assert os.environ[decomposition_cache.CACHE_SIZE_ENV] == "5"
-    assert decomposition_cache.effective_maxsize() == 5
-
-
 def test_configure_clamps_negative_sizes_in_every_chain():
     """Regression: `configure` used to accept a negative capacity
-    verbatim while workers clamped the env var to 0, so the parent and
-    its pool disagreed about the effective LRU size (and the manifest
-    recorded the unclamped value)."""
+    verbatim while workers clamped it to 0, so the parent and its pool
+    disagreed about the effective LRU size (and the manifest recorded
+    the unclamped value).  Workers run under the parent's
+    ``SweepConfig.current()``, which carries the clamped size."""
     for chain in (graph_cache, oracle_cache, decomposition_cache):
         chain.configure(-5)
         assert chain.effective_maxsize() == 0
-        assert os.environ[chain.CACHE_SIZE_ENV] == "0"
-        assert chain._env_maxsize() == 0  # parent == worker
         chain.configure(chain.DEFAULT_MAXSIZE)
+    SweepConfig(graph_cache_size=-5, oracle_cache_size=-5,
+                decomposition_cache_size=-5).apply()
+    current = SweepConfig.current()  # what a pool worker is handed
+    assert (current.graph_cache_size, current.oracle_cache_size,
+            current.decomposition_cache_size) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,32 +273,29 @@ def test_sweep_manifest_records_decomposition_settings_and_counters(
         tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "store")
-    try:
-        cold = run_sweep(["dense-gnp"], store=runs,
+    cold = run_sweep(["dense-gnp"], store=runs,
+                     graph_store_dir=store_dir, graph_cache_size=0,
+                     oracle_store_dir=store_dir, oracle_cache_size=0,
+                     decomposition_store_dir=store_dir,
+                     decomposition_cache_size=0)
+    assert cold.run.manifest["decomposition_cache_size"] == 0
+    assert cold.run.manifest["decomposition_store"] == store_dir
+    # LRU off: the ldc cell computes + publishes the snapshot, the
+    # three staged cells load it from disk.
+    assert cold.summary()["decomposition_sources"] == {"computed": 1,
+                                                       "store": 3}
+    counters = cold.run.manifest["store_counters"]
+    assert counters["decompositions"] == {"computed": 1, "store": 3}
+    warm_run = run_sweep(["dense-gnp"], store=runs, fresh=True,
                          graph_store_dir=store_dir, graph_cache_size=0,
                          oracle_store_dir=store_dir, oracle_cache_size=0,
                          decomposition_store_dir=store_dir,
                          decomposition_cache_size=0)
-        assert cold.run.manifest["decomposition_cache_size"] == 0
-        assert cold.run.manifest["decomposition_store"] == store_dir
-        # LRU off: the ldc cell computes + publishes the snapshot, the
-        # three staged cells load it from disk.
-        assert cold.summary()["decomposition_sources"] == {"computed": 1,
-                                                           "store": 3}
-        counters = cold.run.manifest["store_counters"]
-        assert counters["decompositions"] == {"computed": 1, "store": 3}
-        warm_run = run_sweep(["dense-gnp"], store=runs, fresh=True,
-                             graph_store_dir=store_dir, graph_cache_size=0,
-                             oracle_store_dir=store_dir, oracle_cache_size=0,
-                             decomposition_store_dir=store_dir,
-                             decomposition_cache_size=0)
-        assert warm_run.summary()["decomposition_sources"] == {"store": 4}
-        assert warm_run.run.manifest["store_counters"]["decompositions"] \
-            == {"store": 4}
-        assert [r.canonical_record() for r in cold.results] == \
-            [r.canonical_record() for r in warm_run.results]
-    finally:
-        _reset_chains()
+    assert warm_run.summary()["decomposition_sources"] == {"store": 4}
+    assert warm_run.run.manifest["store_counters"]["decompositions"] \
+        == {"store": 4}
+    assert [r.canonical_record() for r in cold.results] == \
+        [r.canonical_record() for r in warm_run.results]
 
 
 def test_parallel_sweep_workers_share_the_decomposition_store(tmp_path):

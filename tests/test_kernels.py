@@ -18,7 +18,7 @@ from repro.congest.machine import run_machines
 from repro.core.bfs_collections import _message_budget, shared_delays
 from repro.core.weighted_apsp import weighted_apsp
 from repro.graphs import gnp_streaming, uniform_weights
-from repro.kernels import REGISTRY, jit, wavefront
+from repro.kernels import REGISTRY, wavefront
 from repro.kernels import config as kernels_config
 from repro.kernels import relaxation
 from repro.primitives.bfs import BFSCollectionMachine
@@ -52,7 +52,7 @@ def _canonical(record):
 
 
 def _kernel_vs_vectorized(name, algorithm, size=None, seed=0):
-    kernels_config.reset()
+    kernels_config.configure_kernels(False)
     off = run_differential(name, algorithm, size=size, seed=seed)
     assert off.engine_source == "none"
     assert "engine_source" not in off.as_dict()
@@ -121,7 +121,7 @@ def test_direct_engine_replicates_run_machines_exactly():
 def test_weighted_apsp_metrics_identical_kernels_on_and_off():
     graph = uniform_weights(get_scenario("grid-weighted").graph(12),
                             w_max=8, seed=9)
-    kernels_config.reset()
+    kernels_config.configure_kernels(False)
     off = weighted_apsp(graph, seed=2)
     kernels_config.configure_kernels(True)
     on = weighted_apsp(graph, seed=2)
@@ -178,22 +178,16 @@ def test_oversized_int_weights_decline_the_plan():
 
 
 def test_disabled_plane_reports_none_and_omits_the_field():
-    kernels_config.reset()
+    kernels_config.configure_kernels(False)
     record = run_differential("path", "apsp-unweighted")
     assert record.engine_source == "none"
     assert "engine_source" not in record.as_dict()
 
 
 def test_jit_degrades_silently_to_pure_numpy():
-    import numpy as np
-
     graph = get_scenario("grid").graph(16)
     dist = wavefront.bfs_distances(graph, [0])
     assert dist.shape == (1, graph.n) and int(dist[0, 0]) == 0
-    if not jit.available():
-        out = np.empty(graph.n, dtype=np.int64)
-        assert jit.bfs_levels(graph._indptr, graph._indices, 0,
-                              out) is None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,7 @@ def test_sweep_summary_counts_engine_sources():
 
 
 def test_sweep_canonical_records_identical_kernels_on_and_off():
-    kernels_config.reset()
+    kernels_config.configure_kernels(False)
     off = run_sweep(["path", "cycle"], seeds=(0,))
     kernels_config.configure_kernels(True)
     on = run_sweep(["path", "cycle"], seeds=(0,))

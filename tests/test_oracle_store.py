@@ -69,12 +69,10 @@ ORACLE_CELLS = (
 
 @pytest.fixture
 def ochain(tmp_path):
-    """A fresh oracle chain connected to a tmp store; reset afterwards."""
+    """A fresh oracle chain connected to a tmp store."""
     oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
     oracle_cache.configure_store(tmp_path / "store")
-    yield OracleStore(tmp_path / "store")
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-    oracle_cache.configure_store(None)
+    return OracleStore(tmp_path / "store")
 
 
 def _cell_coords(name, algorithm, size=None, seed=0):
@@ -201,33 +199,6 @@ def test_chain_falls_through_lru_store_compute(ochain):
     stats = oracle_cache.stats()
     assert stats["store_hits"] == 1 and stats["publishes"] == 0
     assert ochain.contains(scenario.name, size, derived, spec)
-
-
-def test_store_config_propagates_through_environment(ochain, monkeypatch):
-    """Worker processes resolve the store from the exported env var."""
-    import os
-
-    assert os.environ[oracle_cache.STORE_DIR_ENV] == str(ochain.root)
-    monkeypatch.setattr(oracle_cache, "_store", None)
-    monkeypatch.setattr(oracle_cache, "_store_probed", False)
-    resolved = oracle_cache.effective_store()
-    assert resolved is not None and str(resolved.root) == str(ochain.root)
-    oracle_cache.configure_store(None)
-    assert oracle_cache.STORE_DIR_ENV not in os.environ
-    assert oracle_cache.effective_store() is None
-
-
-def test_cache_size_env_round_trip(monkeypatch):
-    import os
-
-    monkeypatch.setenv(oracle_cache.CACHE_SIZE_ENV, "9")
-    assert oracle_cache._env_maxsize() == 9
-    monkeypatch.setenv(oracle_cache.CACHE_SIZE_ENV, "not-a-number")
-    assert oracle_cache._env_maxsize() == oracle_cache.DEFAULT_MAXSIZE
-    oracle_cache.configure(5)
-    assert os.environ[oracle_cache.CACHE_SIZE_ENV] == "5"
-    assert oracle_cache.effective_maxsize() == 5
-    oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -448,36 +419,30 @@ def test_decomposition_snapshot_round_trip(tmp_path):
 def test_sweep_manifest_records_oracle_settings_and_counters(tmp_path):
     runs = RunStore(tmp_path / "runs")
     store_dir = str(tmp_path / "store")
-    try:
-        first = run_sweep(["path", "cycle"], store=runs,
-                          graph_store_dir=store_dir, graph_cache_size=0,
-                          oracle_store_dir=store_dir, oracle_cache_size=0)
-        assert first.run.manifest["oracle_cache_size"] == 0
-        assert first.run.manifest["oracle_store"] == store_dir
-        # LRUs off: path's first cell computes + publishes the shared
-        # unweighted-apsp, its second cell store-hits; cycle computes.
-        sources = first.summary()["oracle_sources"]
-        assert sources == {"computed": 2, "store": 1}
-        counters = first.run.manifest["store_counters"]
-        assert counters["graphs"] == {"built": 2, "store": 1}
-        assert counters["oracles"] == {"computed": 2, "store": 1}
-        # The counters survive a manifest reload from disk.
-        assert runs.open_run(first.run_id).manifest["store_counters"] \
-            == counters
+    first = run_sweep(["path", "cycle"], store=runs,
+                      graph_store_dir=store_dir, graph_cache_size=0,
+                      oracle_store_dir=store_dir, oracle_cache_size=0)
+    assert first.run.manifest["oracle_cache_size"] == 0
+    assert first.run.manifest["oracle_store"] == store_dir
+    # LRUs off: path's first cell computes + publishes the shared
+    # unweighted-apsp, its second cell store-hits; cycle computes.
+    sources = first.summary()["oracle_sources"]
+    assert sources == {"computed": 2, "store": 1}
+    counters = first.run.manifest["store_counters"]
+    assert counters["graphs"] == {"built": 2, "store": 1}
+    assert counters["oracles"] == {"computed": 2, "store": 1}
+    # The counters survive a manifest reload from disk.
+    assert runs.open_run(first.run_id).manifest["store_counters"] \
+        == counters
 
-        second = run_sweep(["path", "cycle"], store=runs, fresh=True,
-                           graph_store_dir=store_dir, graph_cache_size=0,
-                           oracle_store_dir=store_dir, oracle_cache_size=0)
-        assert second.summary()["oracle_sources"] == {"store": 3}
-        assert second.run.manifest["store_counters"]["oracles"] == {
-            "store": 3}
-        assert [r.canonical_record() for r in first.results] == \
-            [r.canonical_record() for r in second.results]
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
-        oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-        oracle_cache.configure_store(None)
+    second = run_sweep(["path", "cycle"], store=runs, fresh=True,
+                       graph_store_dir=store_dir, graph_cache_size=0,
+                       oracle_store_dir=store_dir, oracle_cache_size=0)
+    assert second.summary()["oracle_sources"] == {"store": 3}
+    assert second.run.manifest["store_counters"]["oracles"] == {
+        "store": 3}
+    assert [r.canonical_record() for r in first.results] == \
+        [r.canonical_record() for r in second.results]
 
 
 def test_parallel_sweep_workers_share_the_oracle_store(tmp_path):

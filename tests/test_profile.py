@@ -549,39 +549,8 @@ def test_profile_diff_payload_tracks_deltas():
 
 
 # ---------------------------------------------------------------------------
-# The capture plane: env propagation to workers
+# The capture plane: hot-function rows
 # ---------------------------------------------------------------------------
-
-def test_profile_capture_env_propagation(tmp_path, monkeypatch):
-    from repro.runner import profile_capture
-
-    profile_capture.reset()
-    assert profile_capture.effective_profile_store() is None
-    assert profile_capture.cprofile_enabled() is False
-
-    # A worker process never calls configure_*: it probes the env the
-    # parent exported.  Simulate one by resetting the module state.
-    profile_capture.configure_profiles(str(tmp_path / "profiles"))
-    profile_capture.configure_cprofile(True)
-    import os
-    assert os.environ[profile_capture.PROFILE_DIR_ENV] \
-        == str(tmp_path / "profiles")
-    assert os.environ[profile_capture.CPROFILE_ENV] == "1"
-
-    profile_capture._store = None
-    profile_capture._store_probed = False
-    profile_capture._cprofile = None
-    store = profile_capture.effective_profile_store()
-    assert store is not None and str(store.root).endswith("profiles")
-    assert profile_capture.cprofile_enabled() is True
-
-    profile_capture.configure_profiles(None)
-    profile_capture.configure_cprofile(False)
-    assert profile_capture.PROFILE_DIR_ENV not in os.environ
-    assert profile_capture.CPROFILE_ENV not in os.environ
-    assert profile_capture.effective_profile_store() is None
-    assert profile_capture.cprofile_enabled() is False
-
 
 def test_hot_rows_shape():
     import cProfile

@@ -145,30 +145,6 @@ def test_chain_publishes_on_build(chain):
     assert source == "store"
 
 
-def test_store_config_propagates_through_environment(chain, monkeypatch):
-    """Worker processes resolve the store from the exported env var."""
-    assert os.environ[graph_cache.STORE_DIR_ENV] == str(chain.root)
-    # Simulate a freshly-started worker: unprobed module state.
-    monkeypatch.setattr(graph_cache, "_store", None)
-    monkeypatch.setattr(graph_cache, "_store_probed", False)
-    resolved = graph_cache.effective_store()
-    assert resolved is not None and str(resolved.root) == str(chain.root)
-    graph_cache.configure_store(None)
-    assert graph_cache.STORE_DIR_ENV not in os.environ
-    assert graph_cache.effective_store() is None
-
-
-def test_cache_size_env_round_trip(monkeypatch):
-    monkeypatch.setenv(graph_cache.CACHE_SIZE_ENV, "7")
-    assert graph_cache._env_maxsize() == 7
-    monkeypatch.setenv(graph_cache.CACHE_SIZE_ENV, "not-a-number")
-    assert graph_cache._env_maxsize() == graph_cache.DEFAULT_MAXSIZE
-    graph_cache.configure(5)
-    assert os.environ[graph_cache.CACHE_SIZE_ENV] == "5"
-    assert graph_cache.effective_maxsize() == 5
-    graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-
-
 def test_degenerate_size_still_raises_with_store(chain):
     with pytest.raises(ValueError, match="size must be >= 3"):
         graph_cache.scenario_graph(get_scenario("path"), 2)
@@ -520,42 +496,34 @@ def test_cli_store_warm_unknown_scenario_is_clean_error(tmp_path, capsys):
 
 
 def test_cli_sweep_store_flags(tmp_path, capsys):
-    from repro.runner import oracle_cache
-
     runs_dir = str(tmp_path / "runs")
     base = ["sweep", "--runs-dir", runs_dir, "--names", "path",
             "--graph-cache-size", "0", "--oracle-cache-size", "0"]
-    try:
-        assert main(base) == 0
-        out = capsys.readouterr().out
-        # LRUs off: path's first cell builds + publishes, the second
-        # cell of the same key is already served from the store -- for
-        # the graph and the shared unweighted-apsp baseline alike.
-        assert "graph sources: 1 built, 1 store" in out
-        assert "oracle sources: 1 computed, 1 store" in out
-        # Default --store-dir co-locates the artifacts with the runs.
-        assert (tmp_path / "runs" / "store").is_dir()
-        assert main(base + ["--fresh"]) == 0
-        out = capsys.readouterr().out
-        assert "graph sources: 2 store" in out
-        assert "oracle sources: 2 store" in out
-        # --no-oracle-store recomputes baselines, keeps graph snapshots.
-        assert main(base + ["--no-oracle-store", "--fresh"]) == 0
-        out = capsys.readouterr().out
-        assert "graph sources: 2 store" in out
-        assert ("oracle sources: 2 computed" in out
-                and "oracle store off" in out)
-        # --no-store disconnects both chains entirely.
-        assert main(base + ["--no-store", "--fresh"]) == 0
-        out = capsys.readouterr().out
-        assert "graph sources: 2 built" in out and "graph store off" in out
-        assert ("oracle sources: 2 computed" in out
-                and "oracle store off" in out)
-    finally:
-        graph_cache.configure(graph_cache.DEFAULT_MAXSIZE)
-        graph_cache.configure_store(None)
-        oracle_cache.configure(oracle_cache.DEFAULT_MAXSIZE)
-        oracle_cache.configure_store(None)
+    assert main(base) == 0
+    out = capsys.readouterr().out
+    # LRUs off: path's first cell builds + publishes, the second
+    # cell of the same key is already served from the store -- for
+    # the graph and the shared unweighted-apsp baseline alike.
+    assert "graph sources: 1 built, 1 store" in out
+    assert "oracle sources: 1 computed, 1 store" in out
+    # Default --store-dir co-locates the artifacts with the runs.
+    assert (tmp_path / "runs" / "store").is_dir()
+    assert main(base + ["--fresh"]) == 0
+    out = capsys.readouterr().out
+    assert "graph sources: 2 store" in out
+    assert "oracle sources: 2 store" in out
+    # --no-oracle-store recomputes baselines, keeps graph snapshots.
+    assert main(base + ["--no-oracle-store", "--fresh"]) == 0
+    out = capsys.readouterr().out
+    assert "graph sources: 2 store" in out
+    assert ("oracle sources: 2 computed" in out
+            and "oracle store off" in out)
+    # --no-store disconnects both chains entirely.
+    assert main(base + ["--no-store", "--fresh"]) == 0
+    out = capsys.readouterr().out
+    assert "graph sources: 2 built" in out and "graph store off" in out
+    assert ("oracle sources: 2 computed" in out
+            and "oracle store off" in out)
 
 
 def test_bench_cli_smoke_flag(tmp_path, capsys):
