@@ -71,8 +71,8 @@ def apsp_direct_unweighted(graph: Graph, *, seed: int = 0,
     total.merge(execution.metrics)
     dist = _collect(graph, execution.outputs, symmetric=True)
     max_ids = max(
-        getattr(a.machine, "max_inbox_ids", 0)
-        for a in execution.algorithms.values())
+        getattr(machine, "max_inbox_ids", 0)
+        for machine in execution.machines.values())
     return DirectAPSPResult(
         dist=dist, metrics=total,
         detail={

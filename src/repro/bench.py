@@ -29,8 +29,10 @@ Registered today:
   construction cost (dict-era builds per cell vs. CSR + the per-worker
   LRU), and an end-to-end in-memory sweep under dict-era construction
   vs. the cache layer.  Writes ``BENCH_graph_core.json``.
-* ``simulator-fastpath`` -- the PR-1 round-loop benchmark (scalar vs.
-  vectorized broadcast delivery) re-expressed in the shared schema.
+* ``simulator-fastpath`` -- direct ``run_machines`` executions on
+  dense gnp: the scalar per-edge ``Network.run`` path vs. the default
+  fast path (the direct machine stepper), outputs and full metering
+  checked identical first.  Writes ``BENCH_simulator_fastpath.json``.
 * ``kernels`` -- the array-native round engines (:mod:`repro.kernels`):
   a multi-root BFS wavefront execution under the vectorized per-machine
   round loop vs. the whole-execution numpy kernel, outputs and full
@@ -835,6 +837,19 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
 
 @register_benchmark("simulator-fastpath")
 def bench_simulator_fastpath() -> BenchReport:
+    """Direct ``run_machines`` executions on dense gnp (n=200, p=0.5):
+    the scalar per-edge ``Network.run`` path (``fast_path=False``, the
+    seed implementation) vs. the default fast path.
+
+    The fast side is whatever ``run_machines`` serves fault-free,
+    unprofiled calls with -- the direct machine stepper, which builds no
+    ``Network`` -- and keeps the ``vectorized_fast_path`` label so its
+    bench-history stream continues.  The workloads are the
+    broadcast-heavy machines whose per-destination delivery dominated
+    the seed profile: a single-source BFS flood and Luby MIS.  Outputs,
+    every ``Metrics`` field and the per-edge congestion (items in order)
+    are checked identical on both paths before any timing.
+    """
     from repro.congest.machine import run_machines
     from repro.graphs import gnp
     from repro.primitives import BFSMachine, LubyMISMachine
@@ -846,7 +861,13 @@ def bench_simulator_fastpath() -> BenchReport:
                            ("luby_mis", LubyMISMachine)):
         fast = run_machines(graph, factory, seed=7, fast_path=True)
         slow = run_machines(graph, factory, seed=7, fast_path=False)
-        assert fast.outputs == slow.outputs
+        # Explicit checks (not asserts) so `python -O` cannot skip them.
+        if fast.outputs != slow.outputs:
+            raise RuntimeError(f"{label}: fast-path outputs diverged "
+                               "from the scalar path")
+        if not fast.metrics.identical(slow.metrics):
+            raise RuntimeError(f"{label}: fast-path metering diverged "
+                               "from the scalar path")
         t_fast = best_of(lambda: run_machines(graph, factory, seed=7))
         t_slow = best_of(
             lambda: run_machines(graph, factory, seed=7, fast_path=False))

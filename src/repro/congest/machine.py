@@ -12,9 +12,11 @@ To make this possible, every simulated algorithm in this library is a
 node seed) that consumes ``(round, inbox)`` and emits at most one
 broadcast payload per round.  A machine can therefore be
 
-* run **directly** on a :class:`~repro.congest.network.Network` through
-  :class:`MachineAdapter` -- this measures its true BCONGEST round,
-  message, and broadcast complexity; or
+* run **directly** by :func:`run_machines` -- this measures its true
+  BCONGEST round, message, and broadcast complexity, on a direct
+  stepper or, as its reference, on a
+  :class:`~repro.congest.network.Network` through
+  :class:`MachineAdapter`; or
 * stepped **locally** by a simulation driver, with the driver responsible
   for delivering exactly the messages the real execution would deliver.
 
@@ -28,7 +30,8 @@ import heapq
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.congest.errors import AlgorithmError
+from repro.congest.errors import AlgorithmError, MessageTooLarge
+from repro.congest.metrics import Metrics
 from repro.congest.network import (
     Algorithm,
     Execution,
@@ -36,7 +39,9 @@ from repro.congest.network import (
     NodeAPI,
     NodeInfo,
     make_node_info,
+    memo_words,
     run_algorithm,
+    run_engines,
 )
 from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +67,7 @@ class Machine:
     ``wake_round()`` names the next round it acts without one.
 
     Drivers step machines event-driven (:func:`step_phases`,
-    :class:`MachineAdapter`): a machine is stepped only in round 1, in
+    :func:`run_machines`): a machine is stepped only in round 1, in
     rounds where its inbox is non-empty, in every round while it is not
     ``passive()``, and in the round named by ``wake_round()``.  Every
     machine must therefore keep this contract:
@@ -119,15 +124,15 @@ class Machine:
 class MachineAdapter(Algorithm):
     """Runs a :class:`Machine` as a node algorithm on a real network.
 
-    The adapter keeps the machine in lockstep: while the machine is not
-    passive it is woken every round; a passive machine is woken only by
-    incoming messages or by its declared ``wake_round``.
+    The adapter steps the machine event-driven, under the
+    :class:`Machine` contract: a machine that is not passive asks to be
+    woken next round; a passive one is woken only by incoming messages
+    or by its declared ``wake_round``.
     """
 
     def __init__(self, info: NodeInfo, machine: Machine):
         super().__init__(info)
         self.machine = machine
-        self._last_round_run = 0
 
     def on_round(self, api: NodeAPI, rnd: int, inbox: Inbox) -> None:
         machine = self.machine
@@ -135,7 +140,6 @@ class MachineAdapter(Algorithm):
             api.halt(machine.output())
             return
         payload = machine.on_round(rnd, inbox)
-        self._last_round_run = rnd
         if payload is not None:
             api.broadcast(payload)
         api.set_output(machine.output())
@@ -162,25 +166,169 @@ def run_machines(graph: "Graph", factory: MachineFactory, *,
     This is the reference execution: its metrics give the algorithm's
     true round complexity T_A, broadcast complexity B_A, and message
     complexity (each broadcast costs deg(v) messages).
+
+    Fault-free, unprofiled, untraced fast-path calls run on the direct
+    stepper (:func:`_step_direct`), which builds no ``Network``,
+    ``NodeAPI`` or :class:`MachineAdapter`; every other call runs the
+    machines through adapters on ``Network.run``, and a profiled call
+    cross-checks the two (:func:`~repro.congest.network.run_engines`).
+    ``Execution.machines`` holds the machines on both engines.
     """
-    machines: Dict[int, Machine] = {}
+    def on_network() -> Execution:
+        machines: Dict[int, Machine] = {}
 
-    def make(info: NodeInfo) -> Algorithm:
-        machine = factory(info)
-        machines[info.id] = machine
-        return MachineAdapter(info, machine)
+        def make(info: NodeInfo) -> Algorithm:
+            machine = factory(info)
+            machines[info.id] = machine
+            return MachineAdapter(info, machine)
 
-    execution = run_algorithm(
-        graph, make, inputs=inputs, word_limit=word_limit, bcast_only=True,
-        seed=seed, check_sizes=check_sizes, tracer=tracer,
-        max_rounds=max_rounds, fast_path=fast_path, faults=faults,
-        profiler=profiler)
-    # Surface machine outputs even for machines that never halted
-    # (e.g. depth-limited BFS at unreachable nodes).
-    for v, machine in machines.items():
-        if execution.outputs[v] is None:
-            execution.outputs[v] = machine.output()
-    return execution
+        execution = run_algorithm(
+            graph, make, inputs=inputs, word_limit=word_limit,
+            bcast_only=True, seed=seed, check_sizes=check_sizes,
+            tracer=tracer, max_rounds=max_rounds, fast_path=fast_path,
+            faults=faults, profiler=profiler)
+        # Surface machine outputs even for machines that never halted
+        # (e.g. depth-limited BFS at unreachable nodes).
+        for v, machine in machines.items():
+            if execution.outputs[v] is None:
+                execution.outputs[v] = machine.output()
+        execution.machines = machines
+        return execution
+
+    def direct() -> Execution:
+        machines = {v: factory(make_node_info(graph, v, inputs=inputs,
+                                              seed=seed))
+                    for v in graph.nodes()}
+        return _step_direct(graph, machines, word_limit=word_limit,
+                            check_sizes=check_sizes, max_rounds=max_rounds)
+
+    return run_engines(direct, on_network, _same_execution,
+                       "direct machine stepper", faults=faults,
+                       profiler=profiler,
+                       reference_only=tracer is not None or not fast_path)
+
+
+def _same_execution(a: Execution, b: Execution) -> bool:
+    return (a.outputs == b.outputs and a.rounds == b.rounds
+            and a.halted == b.halted and a.metrics.identical(b.metrics))
+
+
+def _step_direct(graph: "Graph", machines: Dict[int, Machine], *,
+                 word_limit: int, check_sizes: bool,
+                 max_rounds: int) -> Execution:
+    """``Network.run`` over :class:`MachineAdapter` nodes, without them.
+
+    The round loop is the Network's: every node is due in round 1, then
+    in a round where its inbox is non-empty or a wake-up it declared
+    falls due; silent stretches are jumped over; sends are delivered
+    next round in (sender, receiver-list) order.  Its wake-up rules are
+    the Network's too, which :func:`step_phases` does not share: a
+    declared wake-up is only ever lowered, never cancelled, so a stale
+    one (the machine moved on, e.g. an MPX node adopted before its own
+    start round) still activates the node -- an idle step -- and counts
+    toward ``rounds``.  A machine found halted when due is retired
+    without a step; that activation counts too.
+
+    Each broadcast is sized once (memoized per payload, as the Network
+    does) and metered in bulk: per-node broadcast counts are folded into
+    ``edge_congestion`` at the end, in first-broadcast order, which is
+    the order the per-broadcast updates would have inserted the edges.
+    Errors carry the Network's types and texts.
+    """
+    adj = graph.adj
+    retired = dict.fromkeys(machines, False)    # the NodeAPI's halted
+    wake_pending = dict.fromkeys(machines, 1)
+    wake_heap: List[Tuple[int, int]] = [(1, v) for v in machines]
+    heapq.heapify(wake_heap)
+    sizes: Dict[Any, int] = {}
+    sent: Dict[int, int] = {}         # node -> broadcasts that reached anyone
+    size_counts: Dict[int, int] = {}  # words -> messages, first-use order
+    broadcasts = messages = words = 0
+    pending: Inboxes = {}
+    rnd = last_active = 0
+    while True:
+        inboxes, pending = pending, {}
+        nxt = rnd + 1
+        if not inboxes:
+            while wake_heap and (
+                    wake_pending.get(wake_heap[0][1]) != wake_heap[0][0]
+                    or retired[wake_heap[0][1]]):
+                heapq.heappop(wake_heap)
+            if not wake_heap:
+                break
+            nxt = max(nxt, wake_heap[0][0])
+        rnd = nxt
+        if rnd > max_rounds:
+            raise AlgorithmError(
+                f"exceeded max_rounds={max_rounds}; likely livelock")
+        active = set(inboxes)
+        while wake_heap and wake_heap[0][0] <= rnd:
+            due, v = heapq.heappop(wake_heap)
+            if wake_pending.get(v) == due:
+                del wake_pending[v]
+                active.add(v)
+        acted = False
+        for v in sorted(active):
+            if retired[v]:
+                continue
+            acted = True
+            machine = machines[v]
+            if machine.halted:
+                retired[v] = True
+                continue
+            payload = machine.on_round(rnd, inboxes.get(v, []))
+            if payload is not None:
+                broadcasts += 1
+                dsts = adj[v]
+                if dsts:
+                    size = (memo_words(sizes, payload, v, rnd)
+                            if check_sizes else 1)
+                    if size > word_limit:
+                        raise MessageTooLarge(
+                            f"{size} words > limit {word_limit} "
+                            f"(node {v} -> {dsts[0]}, round {rnd})")
+                    k = len(dsts)
+                    sent[v] = sent.get(v, 0) + 1
+                    messages += k
+                    words += size * k
+                    size_counts[size] = size_counts.get(size, 0) + k
+                    msg = (v, payload)
+                    for u in dsts:
+                        box = pending.get(u)
+                        if box is None:
+                            pending[u] = [msg]
+                        else:
+                            box.append(msg)
+            if machine.halted:
+                retired[v] = True
+                continue
+            if not machine.passive():
+                wake = rnd + 1
+            else:
+                wake = machine.wake_round()
+                if wake is None or wake <= rnd:
+                    continue
+            current = wake_pending.get(v)
+            if current is None or wake < current:
+                wake_pending[v] = wake
+                heapq.heappush(wake_heap, (wake, v))
+        if acted:
+            last_active = rnd
+        if not pending and not wake_pending:
+            break
+
+    metrics = Metrics(rounds=last_active, messages=messages,
+                      broadcasts=broadcasts, words=words,
+                      max_message_words=max(size_counts, default=0))
+    metrics.message_sizes.update(size_counts)
+    congestion = metrics.edge_congestion
+    edge_keys = graph.edge_keys()
+    for v, count in sent.items():
+        for key in edge_keys[v]:
+            congestion[key] += count
+    outputs = {v: machine.output() for v, machine in machines.items()}
+    return Execution(outputs=outputs, metrics=metrics, algorithms={},
+                     rounds=last_active, halted=retired, machines=machines)
 
 
 def step_phases(machines: Dict[int, Machine],

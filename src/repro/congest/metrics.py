@@ -90,6 +90,16 @@ class Metrics:
             self.message_sizes[size_words] += k
         self.edge_congestion.update(edge_keys)
 
+    def identical(self, other: "Metrics") -> bool:
+        """Equal, with the same item order in ``edge_congestion`` and
+        ``message_sizes`` -- what two engines of one execution must
+        agree on."""
+        return (self == other
+                and list(self.edge_congestion.items())
+                == list(other.edge_congestion.items())
+                and list(self.message_sizes.items())
+                == list(other.message_sizes.items()))
+
     @property
     def max_edge_congestion(self) -> int:
         """Maximum number of messages carried by any single edge."""

@@ -23,6 +23,16 @@ Algorithms are written against the :class:`NodeAPI` handle, which exposes
 exactly the node's local knowledge: its ID, its incident edges (with
 weights), the network size ``n`` when the driver declares it known, and a
 private PRNG stream.
+
+Fault-free, unprofiled executions of the library's regular primitives do
+not come here: packet transport runs on a link-queue engine
+(:mod:`repro.primitives.transport`), ``run_machines`` on a direct machine
+stepper (:mod:`repro.congest.machine`), and the global-tree preprocessing
+in closed form (:mod:`repro.primitives.global_tree`).  :meth:`Network.run`
+is their differential reference and still serves every call made under a
+non-null fault plan, a round profiler, a tracer or ``fast_path=False``
+(:func:`run_engines`), plus every plain :func:`run_algorithm` -- the
+Baswana--Sen one-shot rounds among them.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import numbers
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.congest.errors import (
     AlgorithmError,
@@ -92,6 +102,36 @@ def _items_words(items) -> int:
         elif item is not None:
             total += payload_words(item)
     return total
+
+
+def memo_words(memo: Dict[Payload, int], payload: Payload,
+               src: Optional[int], rnd: int, *, limit: int = 65536) -> int:
+    """``payload_words`` memoized in ``memo``, in the sender's context.
+
+    Equal payloads of the supported scalar/container types always have
+    equal word counts, so keying the memo on the payload value itself
+    is sound; unhashable payloads (dicts) are sized every time.
+    Executions reuse a small set of payload shapes, so a memo saturates
+    far below its ``limit`` entries in practice.
+
+    An unsupported payload type is the *algorithm's* bug, not the
+    runner's: it surfaces as an :class:`AlgorithmError` naming the
+    sender and round, so it lands in sweep records as an algorithm
+    failure instead of crashing the cell with a bare TypeError.
+    """
+    try:
+        return memo[payload]
+    except TypeError:
+        hashable = False
+    except KeyError:
+        hashable = True
+    try:
+        size = payload_words(payload)
+    except TypeError as exc:
+        raise AlgorithmError(f"node {src}, round {rnd}: {exc}") from exc
+    if hashable and len(memo) < limit:
+        memo[payload] = size
+    return size
 
 
 @dataclass
@@ -275,13 +315,52 @@ def make_node_info(graph: "Graph", v: int, *,
 
 @dataclass
 class Execution:
-    """Result of one :meth:`Network.run`."""
+    """Result of one :meth:`Network.run` (or of an engine replacing it).
+
+    ``machines`` is filled by ``run_machines``: the per-node machines on
+    every engine, where ``algorithms`` holds only what a Network ran.
+    """
 
     outputs: Dict[int, Any]
     metrics: Metrics
     algorithms: Dict[int, Algorithm]
     rounds: int
     halted: Dict[int, bool] = field(default_factory=dict)
+    machines: Dict[int, Any] = field(default_factory=dict)
+
+
+_T = TypeVar("_T")
+
+
+def run_engines(fast: Callable[[], _T], reference: Callable[[], _T],
+                same: Callable[[_T, _T], bool], name: str, *,
+                faults: Optional["FaultPlan"] = None,
+                profiler: Optional["RoundProfiler"] = None,
+                reference_only: bool = False) -> _T:
+    """Run an execution on its fast engine or on the Network reference.
+
+    ``fast`` serves fault-free, unprofiled calls.  ``reference`` -- the
+    per-node :meth:`Network.run` -- serves calls under a non-null fault
+    plan (faults act on individual deliveries), under a round profiler
+    (profiles record individual rounds), and whenever the caller sets
+    ``reference_only``.  A profiled, fault-free call runs ``fast`` as
+    well and raises if ``same`` says the two disagree, so every profiled
+    sweep cross-checks the engines.  ``faults`` and ``profiler`` default
+    to the ambient ones.
+    """
+    if faults is None:
+        from repro.congest.faults import active_plan
+        faults = active_plan()
+    faulted = faults is not None and not faults.is_null
+    if profiler is None:
+        from repro.congest.profile import active_profiler
+        profiler = active_profiler()
+    if not (faulted or profiler is not None or reference_only):
+        return fast()
+    result = reference()
+    if profiler is not None and not faulted and not same(result, fast()):
+        raise RuntimeError(f"{name} diverged from the Network engine")
+    return result
 
 
 class Network:
@@ -324,8 +403,7 @@ class Network:
         one ``is not None`` check per round and nothing else.
     """
 
-    # Cap on the payload-size memo; executions reuse a small set of
-    # payload shapes, so the cache saturates far below this in practice.
+    # Cap on the payload-size memo (see memo_words).
     _SIZE_CACHE_MAX = 65536
 
     def __init__(self, graph: "Graph", *, word_limit: int = 8,
@@ -379,40 +457,14 @@ class Network:
         self._size_cache: Dict[Payload, int] = {}
 
     # ------------------------------------------------------------------
-    def _checked_words(self, payload: Payload,
-                       src: Optional[int] = None) -> int:
-        """``payload_words`` with the sending node's execution context.
-
-        An unsupported payload type is the *algorithm's* bug, not the
-        runner's: surface it as an :class:`AlgorithmError` naming the
-        sender and round so it lands in sweep records as an algorithm
-        failure instead of crashing the cell with a bare TypeError.
-        """
-        try:
-            return payload_words(payload)
-        except TypeError as exc:
-            raise AlgorithmError(
-                f"node {src}, round {self.round}: {exc}") from exc
-
     def _payload_size(self, payload: Payload,
                       src: Optional[int] = None) -> int:
-        """``payload_words`` with memoization for hashable payloads.
-
-        Equal payloads of the supported scalar/container types always
-        have equal word counts, so keying the memo on the payload value
-        itself is sound; unhashable payloads (dicts) fall through to the
-        plain recursive computation.
-        """
+        """``payload_words`` memoized, in the sender's context."""
         try:
             return self._size_cache[payload]
-        except TypeError:
-            return self._checked_words(payload, src)
-        except KeyError:
-            pass
-        size = self._checked_words(payload, src)
-        if len(self._size_cache) < self._SIZE_CACHE_MAX:
-            self._size_cache[payload] = size
-        return size
+        except (KeyError, TypeError):  # a miss, or unhashable
+            return memo_words(self._size_cache, payload, src, self.round,
+                              limit=self._SIZE_CACHE_MAX)
 
     # ------------------------------------------------------------------
     def _transmit(self, src: int, dst: int, payload: Payload,

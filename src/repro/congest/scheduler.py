@@ -96,8 +96,8 @@ def measure_bfs_schedule(graph: Graph, roots: Optional[List[int]] = None, *,
                                           max_depth=max_depth),
         word_limit=budget, seed=seed, profiler=profiler)
     max_ids = 0
-    for adapter in execution.algorithms.values():
-        max_ids = max(max_ids, adapter.machine.max_inbox_ids)
+    for machine in execution.machines.values():
+        max_ids = max(max_ids, machine.max_inbox_ids)
     # Dilation: each BFS alone runs for its root's (capped) eccentricity.
     dilation = 0
     for j in root_list:

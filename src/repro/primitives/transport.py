@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import AlgorithmError
-from repro.congest.faults import active_plan
 from repro.congest.metrics import Metrics, undirected
 from repro.congest.network import (
     Algorithm,
@@ -75,8 +74,8 @@ from repro.congest.network import (
     NodeAPI,
     NodeInfo,
     payload_words,
+    run_engines,
 )
-from repro.congest.profile import active_profiler
 from repro.graphs.graph import Graph
 
 
@@ -270,9 +269,7 @@ def _same_execution(a: Tuple[List[Delivery], Metrics],
                 for d in deliveries]
 
     (da, ma), (db, mb) = a, b
-    return (rows(da) == rows(db) and ma == mb
-            and list(ma.edge_congestion.items())
-            == list(mb.edge_congestion.items()))
+    return rows(da) == rows(db) and ma.identical(mb)
 
 
 def _packet_words(packet: Packet) -> int:
@@ -305,18 +302,11 @@ def route_packets(graph: Graph, packets: Sequence[Packet], *,
         if size > word_limit:
             raise AlgorithmError(
                 f"packet payload of {size} words exceeds limit {word_limit}")
-    plan = active_plan()
-    faulted = plan is not None and not plan.is_null
-    if faulted or active_profiler() is not None:
-        result = _route_on_network(graph, packets, word_limit=word_limit,
-                                   max_rounds=max_rounds)
-        if not faulted:  # profiled: cross-check the link-queue engine
-            links = _route_on_links(graph, packets, max_rounds=max_rounds)
-            if not _same_execution(result, links):
-                raise RuntimeError(
-                    "link-queue transport diverged from the Network engine")
-    else:
-        result = _route_on_links(graph, packets, max_rounds=max_rounds)
+    result = run_engines(
+        lambda: _route_on_links(graph, packets, max_rounds=max_rounds),
+        lambda: _route_on_network(graph, packets, word_limit=word_limit,
+                                  max_rounds=max_rounds),
+        _same_execution, "link-queue transport")
     deliveries = result[0]
     if len(deliveries) != len(packets):
         raise AlgorithmError(

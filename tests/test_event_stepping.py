@@ -1,10 +1,11 @@
 """Event-driven stepping vs the lockstep anchor.
 
 The BCONGEST drivers -- the phase stepper behind ``simulate_bcongest``,
-``simulate_aggregation`` and ``simulate_aggregation_star``, and
-``Network.run`` behind ``run_machines`` -- step a machine only in
-round 1, when its inbox is non-empty, while it is not ``passive()``,
-and when its ``wake_round()`` comes due.  That is exact only if every
+``simulate_aggregation`` and ``simulate_aggregation_star``, and the
+direct stepper behind ``run_machines`` (and its ``Network.run``
+reference) -- step a machine only in round 1, when its inbox is
+non-empty, while it is not ``passive()``, and when its ``wake_round()``
+comes due.  That is exact only if every
 machine keeps the stepping contract of :class:`repro.congest.machine.
 Machine`: an idle ``on_round`` changes nothing, and ``passive()`` /
 ``wake_round()`` name every round the machine acts on its own.
@@ -56,7 +57,7 @@ DRIVERS: Dict[Callable, int] = {
 class _Lockstep:
     """Proxy that keeps its machine stepped in every round while live:
     until it halts, or is passive with every wake-up it ever declared
-    behind it (``Network.run`` honours a declared wake-up even after the
+    behind it (``run_machines`` honours a declared wake-up even after the
     machine moved on, and its metered rounds count that activation)."""
 
     def __init__(self, machine: Any):
