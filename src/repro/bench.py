@@ -31,8 +31,10 @@ Registered today:
   vs. the cache layer.  Writes ``BENCH_graph_core.json``.
 * ``simulator-fastpath`` -- direct ``run_machines`` executions on
   dense gnp: the scalar per-edge ``Network.run`` path vs. the default
-  fast path (the direct machine stepper), outputs and full metering
-  checked identical first.  Writes ``BENCH_simulator_fastpath.json``.
+  fast path (the direct machine stepper); and the direct neighborhood
+  cover on ``dense-gnp`` at n = 128: the machine reference vs. the
+  closed-form MPX wavefront.  Outputs and full metering are checked
+  identical first.  Writes ``BENCH_simulator_fastpath.json``.
 * ``kernels`` -- the array-native round engines (:mod:`repro.kernels`):
   a multi-root BFS wavefront execution under the vectorized per-machine
   round loop vs. the whole-execution numpy kernel, outputs and full
@@ -837,22 +839,30 @@ def bench_kernels(smoke: bool = False) -> BenchReport:
 
 @register_benchmark("simulator-fastpath")
 def bench_simulator_fastpath() -> BenchReport:
-    """Direct ``run_machines`` executions on dense gnp (n=200, p=0.5):
-    the scalar per-edge ``Network.run`` path (``fast_path=False``, the
-    seed implementation) vs. the default fast path.
+    """Direct BCONGEST executions, each fast engine against its reference.
 
-    The fast side is whatever ``run_machines`` serves fault-free,
-    unprofiled calls with -- the direct machine stepper, which builds no
-    ``Network`` -- and keeps the ``vectorized_fast_path`` label so its
-    bench-history stream continues.  The workloads are the
-    broadcast-heavy machines whose per-destination delivery dominated
-    the seed profile: a single-source BFS flood and Luby MIS.  Outputs,
-    every ``Metrics`` field and the per-edge congestion (items in order)
-    are checked identical on both paths before any timing.
+    * ``bfs_flood`` / ``luby_mis``: ``run_machines`` on dense gnp (n=200,
+      p=0.5), the scalar per-edge ``Network.run`` path
+      (``fast_path=False``, the seed implementation) vs. the default fast
+      path.  The fast side is whatever ``run_machines`` serves
+      fault-free, unprofiled calls with -- the direct machine stepper,
+      which builds no ``Network`` -- and keeps the
+      ``vectorized_fast_path`` label so its bench-history stream
+      continues.  These are the broadcast-heavy machines whose
+      per-destination delivery dominated the seed profile.
+    * ``cover``: ``neighborhood_cover_direct`` (k = w = 2) on the
+      ``dense-gnp`` scenario at n = 128: the cover machines stepped by
+      ``run_machines`` (the reference) vs. the closed-form MPX
+      wavefront that serves fault-free, unprofiled calls.
+
+    Outputs, every ``Metrics`` field and the per-edge congestion (items
+    in order) are checked identical on both sides before any timing.
     """
     from repro.congest.machine import run_machines
+    from repro.core.cover_app import cover_engines, same_cover
     from repro.graphs import gnp
     from repro.primitives import BFSMachine, LubyMISMachine
+    from repro.scenarios import get_scenario
 
     graph = gnp(200, 0.5, seed=7)
     timings: Dict[str, float] = {}
@@ -874,8 +884,20 @@ def bench_simulator_fastpath() -> BenchReport:
         timings[f"{label}.seed_scalar_path"] = t_slow
         timings[f"{label}.vectorized_fast_path"] = t_fast
         speedups[label] = t_slow / t_fast
+
+    cover_graph = get_scenario("dense-gnp").graph(128, seed=7)
+    closed_form, reference, reps = cover_engines(cover_graph, 2, 2, seed=7)
+    if not same_cover(closed_form(), reference()):
+        raise RuntimeError("cover: the closed-form MPX wavefront diverged "
+                           "from the machine reference")
+    timings["cover.machine_reference"] = best_of(reference)
+    timings["cover.closed_form"] = best_of(closed_form)
+    speedups["cover"] = (timings["cover.machine_reference"]
+                         / timings["cover.closed_form"])
     return BenchReport(
         name="simulator-fastpath",
-        scenario="dense gnp (n=200, p=0.5, seed=7)",
+        scenario=("dense gnp (n=200, p=0.5, seed=7); cover: dense-gnp "
+                  "scenario (n=128, seed=7, k=w=2)"),
         timings=timings, speedups=speedups,
-        extra={"n": graph.n, "m": graph.m})
+        extra={"n": graph.n, "m": graph.m, "cover_n": cover_graph.n,
+               "cover_m": cover_graph.m, "cover_repetitions": reps})

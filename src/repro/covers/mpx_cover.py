@@ -18,10 +18,16 @@ exponential-shift ball carving with rate beta = ln(n) / (2 k W).
   e^{-2 beta W} = n^{-1/k} per repetition, so with r repetitions every
   vertex is padded somewhere w.h.p. -- property (3).
 
-Each repetition is one MPX machine run: broadcast complexity exactly n,
-so the total broadcast complexity is Õ(n^{1+1/k}) and Theorem 2.1 turns
+Each repetition is one MPX flood: broadcast complexity exactly n, so
+the total broadcast complexity is Õ(n^{1+1/k}) and Theorem 2.1 turns
 the construction into an Õ(n²)-message CONGEST algorithm
-(:mod:`repro.core.cover_app`).
+(:mod:`repro.core.cover_app`).  :class:`CoverCollectionMachine` runs
+the repetitions as MPX machines, one round window each; that is what
+the Theorem 2.1 simulation steps, and the reference of the direct
+construction.  A fault-free, unprofiled direct construction computes
+every repetition at once in closed form
+(:func:`repro.decomposition.mpx.mpx_wavefront`) with the same
+clusterings and metering.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.reference import bfs_distances
 from repro.congest.metrics import Metrics
-from repro.decomposition.mpx import Clustering, MPXMachine
+from repro.decomposition.mpx import Clustering, MPXMachine, repetition_seed
 from repro.graphs.graph import Graph
 
 
@@ -43,6 +49,12 @@ def cover_beta(n: int, k: int, w: int) -> float:
 def cover_repetitions(n: int, k: int, *, boost: float = 3.0) -> int:
     return max(1, int(math.ceil(
         boost * (max(n, 2) ** (1.0 / k)) * math.log(max(n, 2)))))
+
+
+def cover_window(cap: int) -> int:
+    """The round window of one repetition (see
+    :class:`CoverCollectionMachine`)."""
+    return 2 * cap + 4
 
 
 @dataclass
@@ -122,7 +134,7 @@ class CoverCollectionMachine:
         self.info = info
         self.reps = reps
         self.cap = cap
-        self.window = 2 * cap + 4
+        self.window = cover_window(cap)
         self.halted = False
         self.machines = []
         for rep in range(reps):
@@ -130,7 +142,7 @@ class CoverCollectionMachine:
                 id=info.id, neighbors=info.neighbors, n=info.n,
                 weights=info.weights, in_weights=info.in_weights,
                 input=None,
-                seed=(info.seed * 1_000_003 + rep * 7919) & 0x7FFFFFFF)
+                seed=repetition_seed(info.seed, rep))
             self.machines.append(MPXMachine(sub_info, beta=beta, cap=cap))
         self._output = [None] * reps
         self._next_rep = 0  # every earlier repetition has adopted
@@ -186,28 +198,3 @@ def build_cover_machine_factory(graph: Graph, k: int, w: int, *,
         return CoverCollectionMachine(info, reps=reps, beta=beta, cap=cap)
 
     return factory, reps, beta, cap
-
-
-def clustering_from_outputs(graph: Graph, outputs: Dict[int, dict],
-                            beta: float) -> Clustering:
-    """Package one repetition's machine outputs as a Clustering."""
-    center_of = {}
-    dist = {}
-    parent = {}
-    neighbor_clusters: Dict[int, Dict[int, int]] = {}
-    for v in graph.nodes():
-        out = outputs[v]
-        center_of[v] = out["center"]
-        dist[v] = out["dist"]
-        parent[v] = out["parent"]
-    for v in graph.nodes():
-        heard = outputs[v]["heard"]
-        table: Dict[int, int] = {}
-        for nbr in graph.neighbors(v):
-            c = heard.get(nbr, center_of[nbr])
-            if c not in table or nbr < table[c]:
-                table[c] = nbr
-        neighbor_clusters[v] = table
-    return Clustering(center_of=center_of, dist=dist, parent=parent,
-                      neighbor_clusters=neighbor_clusters,
-                      metrics=Metrics(), beta=beta)

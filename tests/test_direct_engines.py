@@ -1,5 +1,4 @@
-"""The direct machine stepper and the closed-form global tree against
-the Network-backed reference.
+"""The direct engines against their references.
 
 ``run_machines`` serves fault-free, unprofiled, untraced fast-path calls
 with a direct stepper, and ``build_global_tree`` / ``disseminate`` serve
@@ -11,6 +10,12 @@ agree exactly: outputs, every ``Metrics`` field, the item order of
 ``edge_congestion`` and ``message_sizes``, and the type and text of
 every error.
 
+``run_mpx`` and ``neighborhood_cover_direct`` serve fault-free,
+unprofiled calls with the closed-form MPX wavefront; their reference is
+the machine run through ``run_machines``.  The two must agree on every
+``Clustering`` field, the metering (item order included), ``detail``
+and ``rounds``.
+
 The ``slow`` tests at the end run every engine call of the APSP, BFS
 collection, matching, cover and LDC bindings, and of the direct matching
 and cover drivers, at ``--scenario-size`` through both engines.
@@ -19,12 +24,15 @@ and cover drivers, at ``--scenario-size`` through both engines.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.cover_app as cover_app_module
+import repro.decomposition.mpx as mpx_module
 from repro.congest import machine as machine_module
 from repro.congest.errors import CongestError
 from repro.congest.faults import FaultPlan, fault_context
@@ -34,7 +42,7 @@ from repro.congest.tracing import Tracer
 from repro.core.cover_app import neighborhood_cover_direct
 from repro.core.matching_app import maximum_matching_direct
 from repro.covers.mpx_cover import build_cover_machine_factory
-from repro.decomposition.mpx import MPXMachine
+from repro.decomposition.mpx import MPXMachine, run_mpx
 from repro.graphs import from_edges, path
 from repro.graphs.weights import uniform_weights
 from repro.matching.augmenting import BipartiteMatchingMachine
@@ -543,6 +551,162 @@ def test_profiled_cross_check_catches_a_divergence(target):
 
 
 # ---------------------------------------------------------------------
+# The closed-form MPX wavefront: run_mpx and the direct cover
+# ---------------------------------------------------------------------
+def _clustering(c) -> Tuple[Any, ...]:
+    return (list(c.center_of.items()), list(c.dist.items()),
+            list(c.parent.items()),
+            [(v, list(table.items()))
+             for v, table in c.neighbor_clusters.items()],
+            c.beta, _metered(c.metrics))
+
+
+def _cover(result) -> Tuple[Any, ...]:
+    cover = result.cover
+    return ([_clustering(c) for c in cover.clusterings], cover.k, cover.w,
+            result.detail, _metered(result.metrics),
+            _metered(cover.metrics))
+
+
+def _same_mpx(graph, **kwargs) -> Any:
+    return _same(mpx_module, lambda: run_mpx(graph, **kwargs), _clustering)
+
+
+def _same_cover(graph, k: int, w: int, **kwargs) -> Any:
+    return _same(cover_app_module,
+                 lambda: neighborhood_cover_direct(graph, k, w, **kwargs),
+                 _cover)
+
+
+COVER_SHAPES = st.sampled_from([(2, 2), (1, 1), (3, 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=graphs(connected=False), seed=st.integers(0, 2 ** 31),
+       beta=st.sampled_from([0.2, 0.5, 1.0, 3.0]),
+       cap=st.sampled_from([None, 1, 3, 6]))
+def test_mpx_engines_agree(graph, seed, beta, cap):
+    out = _same_mpx(graph, beta=beta, seed=seed, cap=cap)
+    assert out[0] != "error"
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=graphs(connected=False), seed=st.integers(0, 2 ** 31),
+       shape=COVER_SHAPES, boost=st.sampled_from([0.3, 1.0, 3.0]))
+def test_cover_engines_agree(graph, seed, shape, boost):
+    k, w = shape
+    out = _same_cover(graph, k, w, seed=seed, boost=boost)
+    assert out[0] != "error"
+
+
+SHAPES = [path(1), path(2), path(7), _star(7),
+          from_edges(6, [(0, 1), (3, 4), (4, 5)])]
+SHAPE_IDS = ["n1", "n2", "path", "star", "isolated"]
+
+
+@pytest.mark.parametrize("graph", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("seed", [0, 3, 144101000])
+def test_mpx_engines_agree_on_small_shapes(graph, seed):
+    _same_mpx(graph, beta=0.5, seed=seed)
+
+
+@pytest.mark.parametrize("graph", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("shape", [(2, 2), (1, 1), (3, 1)],
+                         ids=["k2w2", "k1w1", "k3w1"])
+def test_cover_engines_agree_on_small_shapes(graph, shape):
+    clusterings, _k, _w, detail, metered, _ = _same_cover(graph, *shape,
+                                                          seed=5)
+    meters, congestion, sizes = metered
+    rounds, messages, broadcasts, words = meters[:4]
+    reps = detail["repetitions"]
+    assert len(clusterings) == reps == broadcasts // graph.n
+    assert detail["rounds"] == rounds
+    assert messages == reps * 2 * graph.m and words == 2 * messages
+    assert sizes == ([(2, messages)] if messages else [])
+    assert all(count == 2 * reps for _edge, count in congestion)
+
+
+def test_mpx_stale_wake_sets_rounds():
+    """Node 0 adopts in round 5, before its start round 7 (see
+    ``test_stale_wake_activates_and_counts``): ``rounds`` is 7 on both
+    engines, though the last message arrives in round 6."""
+    clustering = _same_mpx(path(3), beta=0.5, seed=0, cap=6)
+    assert clustering[0][0] != (0, 0)
+    assert clustering[-1][0][0] == 7
+
+
+def _counted_wavefront(calls: List[int]):
+    return _counting(mpx_module, "mpx_wavefront", calls), \
+        _counting(cover_app_module, "mpx_wavefront", calls)
+
+
+def test_faulted_mpx_calls_take_the_reference_and_replay():
+    graph = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    plan = FaultPlan(drop=0.2, seed=4)
+
+    def faulted(calls: List[int]) -> str:
+        mpx_counted, cover_counted = _counted_wavefront(calls)
+        with fault_context(plan), mpx_counted, cover_counted:
+            return repr((_outcome(lambda: run_mpx(graph, seed=3),
+                                  _clustering),
+                         _outcome(lambda: neighborhood_cover_direct(
+                             graph, 2, 2, seed=3), _cover)))
+
+    calls: List[int] = []
+    first = faulted(calls)
+    assert first == faulted(calls)
+    assert calls == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: run_mpx(g, seed=3, cap=6),
+    lambda g: neighborhood_cover_direct(g, 2, 2, seed=3)],
+    ids=["mpx", "cover"])
+def test_a_node_crashed_before_adopting_is_unclustered(run):
+    """Node 2 crashes in round 1, before it steps: both packagings
+    raise the same error rather than failing on its missing output."""
+    with fault_context(FaultPlan(node_crashes={2: 1})), \
+            pytest.raises(RuntimeError,
+                          match="MPX left node 2 unclustered"):
+        run(path(5))
+
+
+def test_profiled_mpx_calls_record_rounds_and_cross_check():
+    profiler = RoundProfiler()
+    calls: List[int] = []
+    graph = _star(6)
+    mpx_counted, cover_counted = _counted_wavefront(calls)
+    with profile_context(profiler), mpx_counted, cover_counted:
+        clustering = run_mpx(graph, seed=2)
+        cover = neighborhood_cover_direct(graph, 1, 1, seed=2)
+    assert calls == [1, 1]
+    totals = profiler.profile().totals()
+    assert totals["messages"] == (clustering.metrics.messages
+                                  + cover.metrics.messages)
+
+
+@pytest.mark.parametrize("module,run", [
+    (mpx_module, lambda g: run_mpx(g, seed=1)),
+    (cover_app_module, lambda g: neighborhood_cover_direct(g, 2, 2,
+                                                           seed=1))],
+    ids=["mpx", "cover"])
+def test_profiled_mpx_cross_check_catches_a_divergence(module, run):
+    engine = module.mpx_wavefront
+
+    def wrong(*args, **kwargs):
+        adopt, clusterings = engine(*args, **kwargs)
+        clusterings[-1].dist[0] += 1
+        return adopt, clusterings
+
+    with profile_context(RoundProfiler()), \
+            mock.patch.object(module, "mpx_wavefront", wrong), \
+            pytest.raises(RuntimeError,
+                          match="MPX wavefront diverged from the Network "
+                                "engine"):
+        run(path(4))
+
+
+# ---------------------------------------------------------------------
 # Sweep-level differential (tier 2)
 # ---------------------------------------------------------------------
 BINDINGS = ("apsp-unweighted", "apsp-weighted", "bfs-collection",
@@ -559,10 +723,14 @@ def _cross_checked(calls: List[str]) -> Callable:
     return both
 
 
-def _patched(calls: List[str]):
+@contextmanager
+def _patched(calls: List[str]) -> Iterator[None]:
     both = _cross_checked(calls)
-    return (mock.patch.object(machine_module, "run_engines", both),
-            mock.patch.object(global_tree, "run_engines", both))
+    with mock.patch.object(machine_module, "run_engines", both), \
+            mock.patch.object(global_tree, "run_engines", both), \
+            mock.patch.object(mpx_module, "run_engines", both), \
+            mock.patch.object(cover_app_module, "run_engines", both):
+        yield
 
 
 @pytest.mark.slow
@@ -572,8 +740,7 @@ def _patched(calls: List[str]):
 def test_sweep_cells_agree_on_both_engines(scenario_size, algorithm,
                                            scenario_name):
     calls: List[str] = []
-    machines, tree = _patched(calls)
-    with machines, tree:
+    with _patched(calls):
         record = run_differential(scenario_name, algorithm,
                                   size=scenario_size, seed=201)
     assert record.passed
@@ -590,7 +757,8 @@ def test_direct_drivers_agree_on_both_engines(scenario_size, driver,
     for scenario in select(binding):
         graph = get_scenario(scenario.name).graph(scenario_size, seed=201)
         calls: List[str] = []
-        machines, tree = _patched(calls)
-        with machines, tree:
+        with _patched(calls):
             driver(graph, scenario.seed_for(scenario_size, 201))
         assert "direct machine stepper" in calls, scenario.name
+        if binding == "cover":
+            assert "MPX wavefront" in calls, scenario.name

@@ -21,16 +21,25 @@ whose idle ``on_round`` mutates state, or whose schedule hides a round
 it acts in, makes the two runs disagree on outputs, ``Metrics``,
 per-edge congestion, ``phases`` or ``broadcasts_simulated``.
 
+The MPX flood of the cover and LDC drivers runs in closed form on a
+fault-free call, which steps no machine; these tests route it to its
+machine reference (:func:`_machines_stepped`), so ``MPXMachine`` and
+``CoverCollectionMachine`` stay checked against lockstep.
+
 The step-count pins at the end fail on a regression back to lockstep.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Tuple
+from unittest import mock
 
 import pytest
 
+import repro.core.cover_app as cover_app_module
+import repro.decomposition.mpx as mpx_module
 from repro.congest.machine import Machine, run_machines
 from repro.core.bcongest_sim import simulate_bcongest
 from repro.core.bfs_collections import n_bfs_trees_batched, n_bfs_trees_star
@@ -144,6 +153,18 @@ def _assert_same(monkeypatch, run: Callable[[], Any],
     assert value(event) == value(lock)
 
 
+def _reference(fast, reference, same, name, **kwargs):
+    return reference()
+
+
+@contextmanager
+def _machines_stepped() -> Iterator[None]:
+    """Run the MPX closed forms' machine references instead."""
+    with mock.patch.object(mpx_module, "run_engines", _reference), \
+            mock.patch.object(cover_app_module, "run_engines", _reference):
+        yield
+
+
 def _metered(result: Any) -> Tuple[Dict[str, int], Dict[Any, int]]:
     return result.metrics.as_dict(), dict(result.metrics.edge_congestion)
 
@@ -195,7 +216,8 @@ def _check(monkeypatch, case: str, scenario_name: str, size: int,
     scenario = get_scenario(scenario_name)
     graph = scenario.graph(size, seed=seed)
     derived = scenario.seed_for(size, seed)
-    _assert_same(monkeypatch, lambda: run(graph, seed=derived), value)
+    with _machines_stepped():
+        _assert_same(monkeypatch, lambda: run(graph, seed=derived), value)
 
 
 @pytest.mark.parametrize("case,scenario_name", TIER1)
@@ -281,8 +303,10 @@ def test_step_count_pin(monkeypatch, scenario_name, algorithm):
     """The n = 48 cells of the schedule benchmark at caller seed
     144101000: lockstep took 1.73M (matching) and 140K (cover) steps."""
     records = []
-    steps = _count_steps(monkeypatch, lambda: records.append(
-        run_differential(scenario_name, algorithm, size=48,
-                         seed=144101000)))
+    with _machines_stepped():
+        steps = _count_steps(monkeypatch, lambda: records.append(
+            run_differential(scenario_name, algorithm, size=48,
+                             seed=144101000)))
+    assert steps > 0
     assert records[0].passed
     assert steps <= 20_000
